@@ -14,7 +14,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .polynomial import T, X, Z, as_poly
+from .polynomial import X, Z, as_poly
 from .shapes import parse_partition, subpartitions
 from . import symfunc
 from . import vertex
@@ -57,6 +57,8 @@ def cmd_expand(args):
     except ValueError as exc:
         _fail_usage(exc)
     n = args.n
+    if n < 0:
+        _fail_usage(f"--n must be nonnegative, got {n}")
     if args.kind == "g":
         route = args.route or "jt_h"
         if route not in symfunc.G_ROUTES:
@@ -69,8 +71,7 @@ def cmd_expand(args):
             # render as a Schur expansion with t-polynomial coefficients
             lines = []
             for mu in symfunc._superset_shapes(shape, n):
-                c = symfunc.E_coeff_atoms(shape, mu, [as_poly(T(i)) for i in range(1, n)],
-                                          negate=True)
+                c = symfunc.E_coeff(shape, mu, negate=True)
                 if not c.is_zero():
                     lines.append({"mu": list(mu), "coeff": c.to_json_obj()})
             _emit({"kind": "G_schur_expansion", "shape": list(shape), "n": n,
@@ -284,7 +285,10 @@ def cmd_ybe(args):
     lfac, rfac = vertex.BUNDLED_FAMILIES[model]
     L, R = lfac(), rfac()
     if args.perturb:
-        key = tuple(int(b) for b in args.perturb.split(","))
+        bits = args.perturb.split(",")
+        if len(bits) != 4 or any(b not in ("0", "1") for b in bits):
+            _fail_usage(f"--perturb needs 4 comma-separated bits, got {args.perturb!r}")
+        key = tuple(int(b) for b in bits)
         L = L.perturbed(key, as_poly(Z(1)) + 1)
     rep = vertex.check_ybe(L, R)
     if args.format == "json":

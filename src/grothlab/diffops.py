@@ -146,11 +146,6 @@ def convolve_eval(f: SeqFn, g: SeqFn, v: int) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 
-def delta_word(ts, direction: int):
-    """Build a word [(t_value, direction)] for a run of like operators."""
-    return [(as_poly(t), direction) for t in ts]
-
-
 def eval_delta(word, f: SeqFn, v: int) -> Polynomial:
     """Apply the operators in the word (leftmost acts last) to f, evaluated
     at v.  Inverse steps expand as finite sums using the support bound."""

@@ -162,6 +162,16 @@ def _mono_cmp(a: tuple, b: tuple) -> int:
 _MONO_KEY = cmp_to_key(_mono_cmp)
 
 
+def _plain_code(p) -> int | None:
+    """The variable code if p is a single variable to the first power."""
+    if len(p.terms) != 1:
+        return None
+    ((mono, c),) = p.terms.items()
+    if c == 1 and len(mono) == 1 and mono[0][1] == 1:
+        return mono[0][0]
+    return None
+
+
 def _norm_coeff(c):
     if isinstance(c, Fraction):
         if c.denominator == 1:
@@ -229,6 +239,49 @@ class Polynomial:
         if not c:
             return _P_ZERO
         return cls._raw({key: c})
+
+    @classmethod
+    def from_exponent_counts(cls, counts: dict, atoms) -> "Polynomial":
+        """sum of c * prod(atoms[i] ** v[i]) over the items (v, c) of counts.
+
+        Each exponent vector v has one entry per atom; atoms are Variables,
+        rationals or polynomials.  When the atoms are distinct plain variables
+        in canonical order, each vector is already a monomial and is written
+        out directly.  Otherwise (reordered, repeated, rational, Laurent or
+        compound atoms) cached atom powers are multiplied into one dict.
+        """
+        vals = [as_poly(a) for a in atoms]
+        k = len(vals)
+        for vec in counts:
+            if len(vec) != k:
+                raise ValueError(f"exponent vector {vec} does not match {k} atoms")
+        codes = [_plain_code(p) for p in vals]
+        if None not in codes and all(a < b for a, b in zip(codes, codes[1:])):
+            terms = {}
+            for vec, c in counts.items():
+                c = _norm_coeff(c)
+                if c:
+                    terms[tuple((code, e) for code, e in zip(codes, vec) if e)] = c
+            return cls._raw(terms)
+        powers: dict = {}
+        out: dict = {}
+        for vec, c in counts.items():
+            if not c:
+                continue
+            w = _P_ONE
+            for i, e in enumerate(vec):
+                if e:
+                    p = powers.get((i, e))
+                    if p is None:
+                        p = powers[(i, e)] = vals[i] ** e
+                    w = w * p
+            for m, coeff in w.terms.items():
+                s = out.get(m, 0) + coeff * c
+                if s:
+                    out[m] = s
+                else:
+                    out.pop(m, None)
+        return cls._raw({m: _norm_coeff(c) for m, c in out.items()})
 
     # -- basic queries -----------------------------------------------
     def is_zero(self) -> bool:
@@ -345,21 +398,23 @@ class Polynomial:
     @staticmethod
     def _mul_packed(a: dict, b: dict) -> "Polynomial":
         """Large products: pack exponent vectors into one integer per
-        monomial so the inner loop is plain integer addition; 32 bits per
-        variable slot with an offset for Laurent exponents."""
-        codes = set()
-        for m in a:
-            for c, _ in m:
-                codes.add(c)
-        for m in b:
-            for c, _ in m:
-                codes.add(c)
-        codes = sorted(codes)
-        pos = {c: 32 * i for i, c in enumerate(codes)}
-        offset = 1 << 16
+        monomial so the inner loop is plain integer addition.
+
+        Every variable gets a slot of the same width, just wide enough for
+        the range of exponents the product can have (each operand's smallest
+        and largest exponent, absent variables counting as 0), and every
+        slot carries an offset that makes the smallest possible exponent 0.
+        So no slot of a product can borrow from or carry into its neighbour.
+        """
+        exps_a = [e for m in a for _, e in m] + [0]
+        exps_b = [e for m in b for _, e in m] + [0]
+        offset = -(min(exps_a) + min(exps_b))
+        width = max(1, (max(exps_a) + max(exps_b) + offset).bit_length())
+        codes = sorted({c for side in (a, b) for m in side for c, _ in m})
+        pos = {c: width * i for i, c in enumerate(codes)}
         base = 0
         for i in range(len(codes)):
-            base |= offset << (32 * i)
+            base |= offset << (width * i)
 
         def pack(mono):
             key = base  # every slot carries the offset, absent vars included
@@ -379,12 +434,12 @@ class Polynomial:
                     out[kk] = s
                 else:
                     out.pop(kk, None)
-        mask = (1 << 32) - 1
+        mask = (1 << width) - 1
         res = {}
         for kk, c in out.items():
             mono = []
             for i, code in enumerate(codes):
-                e = ((kk >> (32 * i)) & mask) - offset
+                e = ((kk >> (width * i)) & mask) - offset
                 if e:
                     mono.append((code, e))
             res[tuple(mono)] = _norm_coeff(c)
@@ -587,17 +642,6 @@ def as_poly(v) -> Polynomial:
     if isinstance(v, (int, Fraction)):
         return Polynomial.const(v)
     raise TypeError(f"cannot interpret {v!r} as a polynomial")
-
-
-def poly_arith(a: Polynomial, b: Polynomial, op: str) -> Polynomial:
-    """Dispatch wrapper used by the CLI; op in {add, sub, mul}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
 
 
 # ---------------------------------------------------------------------------

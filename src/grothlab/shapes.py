@@ -199,34 +199,6 @@ def enumerate_partitions_in_box(n: int, k: int):
     return out
 
 
-def partitions_of_length_at_most(l: int, maxpart: int):
-    """Partitions in the l x maxpart box, same order."""
-    return enumerate_partitions_in_box(l, maxpart)
-
-
-def horizontal_strips(la: tuple, shorter: bool = False):
-    """All mu <= la such that la/mu is a horizontal strip (mu_i in
-    [la_{i+1}, la_i])."""
-    ranges = []
-    l = len(la)
-    for i in range(1, l + 1):
-        lo = part(la, i + 1)
-        hi = la[i - 1]
-        ranges.append(range(lo, hi + 1))
-
-    def rec(i, prefix):
-        if i == l:
-            yield partition(prefix)
-            return
-        hi_prev = prefix[-1] if prefix else None
-        for v in ranges[i]:
-            if hi_prev is not None and v > hi_prev:
-                continue
-            yield from rec(i + 1, prefix + [v])
-
-    yield from rec(0, [])
-
-
 def subpartitions(la: tuple):
     """All mu contained in la, graded-lex order."""
     l = len(la)

@@ -6,17 +6,24 @@ Routes and conventions:
 * ``dual_grothendieck`` (g) carries parameters t_1..t_{l-1} for a shape of
   length l; all five routes return the identical canonical polynomial.
 * ``grothendieck`` (G) carries t_1..t_{n-1} for n x-variables.
-* Coefficient families: ``e_coeff(la, mu)`` sums t^T over elegant tableaux of
-  la/mu; ``E_coeff(la, mu)`` sums prod t_{i - value} over increasing elegant
-  tableaux of mu/la; ``p_coeff(nu, la, ts)`` is the lower-flagged skew count
-  with its determinant form.
+* Coefficient families: ``e_coeff(la, mu, t_atoms)`` sums t^T over elegant
+  tableaux of la/mu; ``E_coeff(la, mu, t_atoms, negate)`` sums
+  prod t_{i - value} over increasing elegant tableaux of mu/la, optionally
+  with every t negated; ``p_coeff(nu, la, ts)`` is the lower-flagged skew
+  count with its determinant form.  The t atoms default to t_1, t_2, ...
+* Every tableau-sum route (``rpp``, ``svt``, the ``combinatorial`` Schur
+  routes and the coefficient families) enumerates its tableaux, counts their
+  exponent vectors (``tableaux.*_exponents``) and builds one polynomial with
+  ``Polynomial.from_exponent_counts``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .polynomial import (
+    _FAM_SHIFT,
     GAMMA,
     Polynomial,
     T,
@@ -71,6 +78,11 @@ def _x_count(n) -> int:
     return n.n if isinstance(n, SymSpec) else int(n)
 
 
+def _tableau_sum(vectors, atoms) -> Polynomial:
+    """sum of prod(atoms[i] ** v[i]) over the exponent vectors v."""
+    return Polynomial.from_exponent_counts(Counter(vectors), atoms)
+
+
 # ---------------------------------------------------------------------------
 # Schur functions
 # ---------------------------------------------------------------------------
@@ -84,10 +96,9 @@ def schur(la, atoms, route="jacobi_trudi", inner=()) -> Polynomial:
         return Polynomial.zero()
     atoms = _atoms(atoms)
     if route == "combinatorial":
-        total = Polynomial.zero()
-        for rows in tb.enumerate_ssyt(la, inner, n=len(atoms)):
-            total = total + tb.weight_ssyt(rows, atoms)
-        return total
+        n = len(atoms)
+        return _tableau_sum((tb.ssyt_exponents(rows, n)
+                             for rows in tb.enumerate_ssyt(la, inner, n=n)), atoms)
     if route == "jacobi_trudi":
         l = len(la)
         if l == 0:
@@ -108,10 +119,10 @@ def flagged_schur(la, flags, atoms, route="jacobi_trudi", inner=()) -> Polynomia
     atoms = _atoms(atoms)
     l = len(la)
     if route == "combinatorial":
-        total = Polynomial.zero()
-        for rows in tb.enumerate_ssyt(la, inner, n=len(atoms), upper_flags=list(flags)):
-            total = total + tb.weight_ssyt(rows, atoms)
-        return total
+        n = len(atoms)
+        return _tableau_sum((tb.ssyt_exponents(rows, n) for rows in
+                             tb.enumerate_ssyt(la, inner, n=n, upper_flags=list(flags))),
+                            atoms)
     if route == "jacobi_trudi":
         if l == 0:
             return Polynomial.one()
@@ -150,37 +161,42 @@ def multi_schur(index_seq, diffs) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 
-def e_coeff(la, mu, t_count=None) -> Polynomial:
+def _t_atoms(t_atoms, count):
+    """The first count t atoms: t_atoms[:count], or t_1..t_count by default."""
+    if t_atoms is None:
+        return [T(i) for i in range(1, count + 1)]
+    return _atoms(t_atoms)[:count]
+
+
+def e_coeff(la, mu, t_atoms=None) -> Polynomial:
     """sum of t^T over elegant tableaux of shape la/mu (0 if mu not in la)."""
     la, mu = partition(la), partition(mu)
     if la == mu:
         return Polynomial.one()
     if not contains(la, mu) or part(la, 1) != part(mu, 1):
         return Polynomial.zero()
-    total = Polynomial.zero()
-    for rows in tb.enumerate_elegant(la, mu):
-        total = total + tb.weight_elegant(rows)
-    return total
+    ts = _t_atoms(t_atoms, len(la) - 1)
+    return _tableau_sum((tb.ssyt_exponents(rows, len(ts))
+                         for rows in tb.enumerate_elegant(la, mu)), ts)
 
 
-def E_coeff(la, mu) -> Polynomial:
-    """sum over increasing elegant tableaux of mu/la of prod t_{i - value}."""
+def E_coeff(la, mu, t_atoms=None, negate=False) -> Polynomial:
+    """sum over increasing elegant tableaux of mu/la of prod t_{i - value};
+    negate replaces every t by -t."""
     la, mu = partition(la), partition(mu)
     if la == mu:
         return Polynomial.one()
     if not contains(mu, la) or part(la, 1) != part(mu, 1):
         return Polynomial.zero()
-    total = Polynomial.zero()
-    for rows in tb.enumerate_increasing_elegant(mu, la):
-        total = total + tb.weight_increasing_elegant(rows)
-    return total
+    ts = _t_atoms(t_atoms, len(mu) - 1)
+    total = _tableau_sum((tb.increasing_elegant_exponents(rows, len(ts))
+                          for rows in tb.enumerate_increasing_elegant(mu, la)), ts)
+    return -total if negate and (sum(mu) - sum(la)) % 2 else total
 
 
 def E_coeff_negated(la, mu) -> Polynomial:
     """E with every t negated, i.e. the coefficient of s_mu in G_la."""
-    base = E_coeff(la, mu)
-    sign = (-1) ** (sum(mu) - sum(la))
-    return base * sign
+    return E_coeff(la, mu, negate=True)
 
 
 def p_coeff_det(nu, la, t_atoms) -> Polynomial:
@@ -207,16 +223,9 @@ def p_coeff_tableaux(nu, la, t_atoms) -> Polynomial:
         return Polynomial.zero()
     ts = _atoms(t_atoms)
     m = len(ts)
-    l = len(nu)
-    total = Polynomial.zero()
-    for rows in tb.enumerate_ssyt(nu, la, n=m,
-                                  lower_flags=[r - 1 for r in range(1, l + 1)]):
-        w = Polynomial.one()
-        for row in rows:
-            for v in row:
-                w = w * ts[v - 1]
-        total = total + w
-    return total
+    flags = [r - 1 for r in range(1, len(nu) + 1)]
+    return _tableau_sum((tb.ssyt_exponents(rows, m)
+                         for rows in tb.enumerate_ssyt(nu, la, n=m, lower_flags=flags)), ts)
 
 
 def p_coeff(nu, la, t_atoms) -> Polynomial:
@@ -255,14 +264,12 @@ def dual_grothendieck(la, n, t_atoms=None, route="jt_h") -> Polynomial:
         return Polynomial.one()
 
     if route == "rpp":
-        total = Polynomial.zero()
-        for rows in tb.enumerate_rpp(la, (), n):
-            total = total + _rpp_weight_atoms(rows, la, (), xs, ts)
-        return total
+        return _tableau_sum((tb.rpp_exponents(rows, la, (), n)
+                             for rows in tb.enumerate_rpp(la, (), n)), xs + ts[: l - 1])
     if route == "schur_decomp":
         total = Polynomial.zero()
         for mu in _subshapes(la):
-            c = e_coeff_atoms(la, mu, ts)
+            c = e_coeff(la, mu, ts)
             if c.is_zero():
                 continue
             total = total + c * schur(mu, xs)
@@ -289,36 +296,6 @@ def _subshapes(la):
             yield mu
 
 
-def e_coeff_atoms(la, mu, ts) -> Polynomial:
-    """e-coefficient with explicit t atoms instead of t variables."""
-    la, mu = partition(la), partition(mu)
-    if la == mu:
-        return Polynomial.one()
-    if not contains(la, mu) or part(la, 1) != part(mu, 1):
-        return Polynomial.zero()
-    total = Polynomial.zero()
-    for rows in tb.enumerate_elegant(la, mu):
-        w = Polynomial.one()
-        for row in rows:
-            for v in row:
-                w = w * ts[v - 1]
-        total = total + w
-    return total
-
-
-def _rpp_weight_atoms(rows, outer, inner, xs, ts) -> Polynomial:
-    a = tb.rpp_a_vector(rows, outer, inner, len(xs))
-    b = tb.rpp_b_vector(rows, outer, inner)
-    w = Polynomial.one()
-    for i, e in enumerate(a):
-        if e:
-            w = w * xs[i] ** e
-    for i, e in enumerate(b):
-        if e:
-            w = w * ts[i] ** e
-    return w
-
-
 def skew_dual_grothendieck(outer, inner, n, t_atoms=None, route="rpp") -> Polynomial:
     """g_{outer/inner}(x_1..x_n; t)."""
     n = _x_count(n)
@@ -331,10 +308,9 @@ def skew_dual_grothendieck(outer, inner, n, t_atoms=None, route="rpp") -> Polyno
     ts = _atoms(t_atoms)
     xs = [as_poly(X(i)) for i in range(1, n + 1)]
     if route == "rpp":
-        total = Polynomial.zero()
-        for rows in tb.enumerate_rpp(outer, inner, n):
-            total = total + _rpp_weight_atoms(rows, outer, inner, xs, ts)
-        return total
+        return _tableau_sum((tb.rpp_exponents(rows, outer, inner, n)
+                             for rows in tb.enumerate_rpp(outer, inner, n)),
+                            xs + ts[: max(l - 1, 0)])
     if route == "one_var_chain":
         # chain the factorized single-variable skew over x_1..x_n
         states = {inner: Polynomial.one()}
@@ -408,14 +384,16 @@ def grothendieck(la, n, t_atoms=None, route="schur_expansion") -> Polynomial:
     if len(la) > n:
         return Polynomial.zero()
     if route == "svt":
-        total = Polynomial.zero()
+        ts_rows = ts[: len(la)]
+        counts: dict = {}
         for rows in tb.enumerate_svt(la, n):
-            total = total + _svt_weight_atoms(rows, xs, ts)
-        return total
+            vec, sign = tb.svt_exponents(rows, n, len(ts_rows))
+            counts[vec] = counts.get(vec, 0) + sign
+        return Polynomial.from_exponent_counts(counts, xs + ts_rows)
     if route == "schur_expansion":
         total = Polynomial.zero()
         for mu in _superset_shapes(la, n):
-            c = E_coeff_atoms(la, mu, ts, negate=True)
+            c = E_coeff(la, mu, ts, negate=True)
             if c.is_zero():
                 continue
             total = total + c * schur(mu, xs)
@@ -456,37 +434,6 @@ def _superset_shapes(la, n):
     for mu in enumerate_partitions_in_box(n, width):
         if contains(mu, la) and part(mu, 1) == width:
             yield mu
-
-
-def E_coeff_atoms(la, mu, ts, negate=False) -> Polynomial:
-    la, mu = partition(la), partition(mu)
-    if la == mu:
-        return Polynomial.one()
-    if not contains(mu, la) or part(la, 1) != part(mu, 1):
-        return Polynomial.zero()
-    total = Polynomial.zero()
-    for rows in tb.enumerate_increasing_elegant(mu, la):
-        w = Polynomial.one()
-        for i, row in enumerate(rows, start=1):
-            for v in row:
-                w = w * ts[i - v - 1]
-        total = total + w
-    if negate:
-        total = total * ((-1) ** (sum(mu) - sum(la)))
-    return total
-
-
-def _svt_weight_atoms(rows, xs, ts) -> Polynomial:
-    w = Polynomial.one()
-    extras = 0
-    for i, row in enumerate(rows, start=1):
-        for cell in row:
-            extras += len(cell) - 1
-            if len(cell) - 1:
-                w = w * ts[i - 1] ** (len(cell) - 1)
-            for v in cell:
-                w = w * xs[v - 1]
-    return w * ((-1) ** extras)
 
 
 def grothendieck_multischur(la, n, t_atoms=None) -> Polynomial:
@@ -732,7 +679,7 @@ def w_poly(la, x_sel, m, k, n, t_atoms) -> Polynomial:
     for nu in enumerate_partitions_in_box(k, m - k):
         alpha = partition(tuple(base) + tuple(part(la, i) for i in range(1, k + 1)))
         betap = partition(tuple(base) + tuple(part(nu, i) for i in range(1, k + 1)))
-        c = E_coeff_atoms(alpha, betap, t_atoms, negate=True)
+        c = E_coeff(alpha, betap, t_atoms, negate=True)
         if c.is_zero():
             continue
         total = total + c * schur(nu, x_sel)
@@ -745,6 +692,10 @@ def verify_fnr_G(la, m, k, n) -> IdentityReport:
     from itertools import combinations
 
     la = partition(la)
+    if not 0 <= k <= min(m, n):
+        raise ValueError(f"fnr_G needs 0 <= k <= min(m, n), got m={m}, k={k}, n={n}")
+    if len(la) > k or part(la, 1) > m - k:
+        raise ValueError(f"fnr_G needs la={la} inside the {k} x {m - k} box")
     mu = partition([m - k] * (n - k) + [part(la, i) for i in range(1, k + 1)])
     ts = [as_poly(T(i)) for i in range(1, n)]
     vals = [as_poly(X(i)) for i in range(1, n + 1)]
@@ -844,10 +795,10 @@ def verify_bounded_cauchy_littlewood(l, n, degree_cap=8) -> IdentityReport:
 
 
 def _truncate_x_degree(p: Polynomial, cap: int) -> Polynomial:
-    x_fam = X(1).code >> 24
+    x_fam = X(1).code >> _FAM_SHIFT
     out = {}
     for mono, coeff in p.terms.items():
-        deg = sum(e for c, e in mono if c >> 24 == x_fam)
+        deg = sum(e for c, e in mono if c >> _FAM_SHIFT == x_fam)
         if deg <= cap:
             out[mono] = coeff
     return Polynomial(out)

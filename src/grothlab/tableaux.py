@@ -9,7 +9,9 @@ order is deterministic (lexicographic in the reading word).
 
 from __future__ import annotations
 
-from .polynomial import Polynomial, T, X, as_poly
+from functools import lru_cache
+
+from .polynomial import Polynomial, T, X
 from .shapes import cells, contains, part, partition
 
 # ---------------------------------------------------------------------------
@@ -120,16 +122,12 @@ def enumerate_increasing_elegant(outer, inner):
                               strict_rows=True)
 
 
-def enumerate_lower_flagged(outer, inner, n, lower_flags):
-    """Skew SSYT with entries in row r strictly greater than lower_flags[r-1]."""
-    yield from enumerate_ssyt(outer, inner, n=n, lower_flags=lower_flags)
-
-
 # ---------------------------------------------------------------------------
 # set-valued tableaux
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=256)
 def _subsets_in_range(lo, n):
     """Nonempty sorted subsets of {lo..n} as tuples, ordered by (min, rest)."""
     vals = list(range(lo, n + 1))
@@ -138,7 +136,7 @@ def _subsets_in_range(lo, n):
     for mask in range(1, 1 << m):
         out.append(tuple(vals[i] for i in range(m) if mask >> i & 1))
     out.sort()
-    return out
+    return tuple(out)
 
 
 def enumerate_svt(outer, n, inner=(), row_caps=None):
@@ -190,114 +188,151 @@ def enumerate_set_valued_elegant(outer, inner):
 # ---------------------------------------------------------------------------
 
 
-def weight_ssyt(rows, atoms=None) -> Polynomial:
-    """prod over entries of atom(value); atoms default to (x1, x2, ...)."""
-    out = Polynomial.one()
-    if atoms is None:
-        counts: dict = {}
-        for row in rows:
-            for v in row:
-                counts[v] = counts.get(v, 0) + 1
-        return Polynomial.monomial([(X(v), e) for v, e in counts.items()])
-    vals = [as_poly(a) for a in atoms]
+# Each family's weight is defined once, as an exponent vector over a fixed
+# list of atoms; the weight_* functions build the monomial from that vector.
+
+
+def _weight(vec, atoms, coeff=1) -> Polynomial:
+    return Polynomial.from_exponent_counts({vec: coeff}, atoms)
+
+
+def _xs(n):
+    return [X(i) for i in range(1, n + 1)]
+
+
+def _ts(n):
+    return [T(i) for i in range(1, n + 1)]
+
+
+def _max_entry(rows):
+    return max((v for row in rows for v in row), default=0)
+
+
+def ssyt_exponents(rows, n) -> tuple:
+    """Content vector over atoms 1..n: entry v-1 counts the entries equal to v.
+
+    This is the weight of SSYT, elegant and lower-flagged tableaux alike.
+    """
+    vec = [0] * n
     for row in rows:
         for v in row:
-            out = out * vals[v - 1]
-    return out
+            vec[v - 1] += 1
+    return tuple(vec)
+
+
+def weight_ssyt(rows, atoms=None) -> Polynomial:
+    """prod over entries of atom(value); atoms default to (x1, x2, ...)."""
+    if atoms is None:
+        atoms = _xs(_max_entry(rows))
+    return _weight(ssyt_exponents(rows, len(atoms)), atoms)
+
+
+@lru_cache(maxsize=256)
+def _rpp_columns(outer, inner):
+    """(l, columns) for a skew shape: its number of rows and, per column,
+    the (row index, index within the row) of its cells from top to bottom."""
+    outer, inner = partition(outer), partition(inner)
+    cols: dict = {}
+    for r, c in cells(outer, inner):
+        cols.setdefault(c, []).append((r - 1, c - part(inner, r) - 1))
+    return len(outer), tuple(tuple(col) for _, col in sorted(cols.items()))
+
+
+def rpp_exponents(rows, outer, inner, n) -> tuple:
+    """(a_1..a_n, b_1..b_{l-1}) of a reverse plane partition, over the atoms
+    x_1..x_n, t_1..t_{l-1}.
+
+    a_i counts the columns containing an i; b_r counts the row-r boxes whose
+    entry equals the box directly below (b_l is always 0).  Columns weakly
+    increase, so one walk down each column finds both: a new value adds 1 to
+    its a, a repeated value adds 1 to the b of the row above.
+    """
+    l, columns = _rpp_columns(tuple(outer), tuple(inner))
+    a = [0] * n
+    b = [0] * max(l - 1, 0)
+    for col in columns:
+        prev = None
+        for r, j in col:
+            v = rows[r][j]
+            if v == prev:
+                b[r - 1] += 1
+            else:
+                a[v - 1] += 1
+                prev = v
+    return tuple(a + b)
 
 
 def rpp_a_vector(rows, outer, inner, n):
     """a_i = number of columns of the filling containing an i."""
-    outer = partition(outer)
-    inner = partition(inner)
-    colvals: dict = {}
-    for r in range(1, len(outer) + 1):
-        off = part(inner, r)
-        for j, v in enumerate(rows[r - 1]):
-            colvals.setdefault(off + j + 1, set()).add(v)
-    a = [0] * n
-    for vs in colvals.values():
-        for v in vs:
-            a[v - 1] += 1
-    return tuple(a)
+    return rpp_exponents(rows, outer, inner, n)[:n]
 
 
 def rpp_b_vector(rows, outer, inner):
     """b_r = number of row-r boxes whose entry equals the box directly below."""
-    outer = partition(outer)
-    inner = partition(inner)
-    grid = {}
-    for r in range(1, len(outer) + 1):
-        off = part(inner, r)
-        for j, v in enumerate(rows[r - 1]):
-            grid[(r, off + j + 1)] = v
-    b = [0] * len(outer)
-    for (r, c), v in grid.items():
-        if grid.get((r + 1, c)) == v:
-            b[r - 1] += 1
-    return tuple(b)
+    n = _max_entry(rows)
+    last = (0,) if partition(outer) else ()  # the last row has no row below
+    return rpp_exponents(rows, outer, inner, n)[n:] + last
 
 
 def weight_rpp(rows, outer, inner=(), n=None) -> Polynomial:
     """t^{b(T)} x^{a(T)} for a reverse plane partition."""
     if n is None:
-        n = max((v for row in rows for v in row), default=1)
-    a = rpp_a_vector(rows, outer, inner, n)
-    b = rpp_b_vector(rows, outer, inner)
-    pairs = [(X(i + 1), e) for i, e in enumerate(a) if e]
-    pairs += [(T(i + 1), e) for i, e in enumerate(b) if e]
-    return Polynomial.monomial(pairs)
+        n = max(_max_entry(rows), 1)
+    vec = rpp_exponents(rows, outer, inner, n)
+    return _weight(vec, _xs(n) + _ts(len(vec) - n))
 
 
-def svt_extra_vector(rows, nrows):
-    """e_i = number of extra entries (beyond the first) in row i."""
-    e = [0] * nrows
-    for r, row in enumerate(rows, start=1):
+def svt_exponents(rows, n, nrows) -> tuple:
+    """(vector, sign) of a set-valued tableau over the atoms x_1..x_n,
+    t_1..t_nrows: x_v counts the entries equal to v, t_r the extra entries
+    (beyond the first) in the cells of row r, and sign is (-1)^{extras}."""
+    x = [0] * n
+    t = [0] * nrows
+    for r, row in enumerate(rows):
         for cell in row:
-            e[r - 1] += len(cell) - 1
-    return tuple(e)
+            for v in cell:
+                x[v - 1] += 1
+            if len(cell) > 1:
+                t[r] += len(cell) - 1
+    return tuple(x + t), -1 if sum(t) & 1 else 1
 
 
 def weight_svt(rows, nrows=None) -> Polynomial:
     """(-1)^{|e(T)|} t^{e(T)} x^T with the sign carried in the coefficient."""
     if nrows is None:
         nrows = len(rows)
-    e = svt_extra_vector(rows, nrows)
-    counts: dict = {}
-    for row in rows:
-        for cell in row:
-            for v in cell:
-                counts[v] = counts.get(v, 0) + 1
-    pairs = [(X(v), k) for v, k in counts.items()]
-    pairs += [(T(i + 1), k) for i, k in enumerate(e) if k]
-    return Polynomial.monomial(pairs, coeff=(-1) ** sum(e))
+    n = max((cell[-1] for row in rows for cell in row), default=0)
+    vec, sign = svt_exponents(rows, n, nrows)
+    return _weight(vec, _xs(n) + _ts(nrows), sign)
 
 
 def weight_elegant(rows) -> Polynomial:
     """t^T: product of t_value over all entries."""
-    counts: dict = {}
-    for row in rows:
+    n = _max_entry(rows)
+    return _weight(ssyt_exponents(rows, n), _ts(n))
+
+
+def increasing_elegant_exponents(rows, n) -> tuple:
+    """Entry k-1 counts the cells in some row i holding the value i - k, so
+    the weight is prod over cells of t_{i - value}, over atoms t_1..t_n."""
+    vec = [0] * n
+    for i, row in enumerate(rows, start=1):
         for v in row:
-            counts[v] = counts.get(v, 0) + 1
-    return Polynomial.monomial([(T(v), e) for v, e in counts.items()])
+            vec[i - v - 1] += 1
+    return tuple(vec)
 
 
 def weight_increasing_elegant(rows) -> Polynomial:
     """prod over cells in row i of t_{i - value} (uncrowding weight)."""
-    counts: dict = {}
-    for i, row in enumerate(rows, start=1):
-        for v in row:
-            counts[i - v] = counts.get(i - v, 0) + 1
-    return Polynomial.monomial([(T(k), e) for k, e in counts.items()])
+    n = max((i - v for i, row in enumerate(rows, start=1) for v in row), default=0)
+    return _weight(increasing_elegant_exponents(rows, n), _ts(n))
 
 
 def weight_set_valued_elegant(rows) -> Polynomial:
-    counts: dict = {}
-    for row in rows:
-        for cell in row:
-            for v in cell:
-                counts[v] = counts.get(v, 0) + 1
-    return Polynomial.monomial([(T(v), e) for v, e in counts.items()])
+    """t^T: product of t_value over all entries of all cells."""
+    entries = (tuple(v for row in rows for cell in row for v in cell),)
+    n = _max_entry(entries)
+    return _weight(ssyt_exponents(entries, n), _ts(n))
 
 
 # ---------------------------------------------------------------------------
@@ -436,14 +471,9 @@ def nilp_to_ssyt(paths):
 
 
 def nilp_weight(paths, atoms) -> Polynomial:
-    """Product over east steps of atoms[height-1]."""
-    vals = [as_poly(a) for a in atoms]
-    out = Polynomial.one()
-    for pts in paths:
-        for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-            if x1 == x0 + 1:
-                out = out * vals[y0 - 1]
-    return out
+    """Product over east steps of atoms[height-1]: the weight of the tableau
+    the paths encode."""
+    return _weight(ssyt_exponents(nilp_to_ssyt(paths), len(atoms)), atoms)
 
 
 def nilp_is_disjoint(paths) -> bool:
@@ -457,27 +487,8 @@ def nilp_is_disjoint(paths) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# dispatch used by the CLI / JSON surfaces
+# JSON surfaces
 # ---------------------------------------------------------------------------
-
-
-def enumerate_family(kind, outer, n, inner=(), flags=None):
-    kind = kind.lower()
-    if kind == "ssyt":
-        return list(enumerate_ssyt(outer, inner, n, upper_flags=flags))
-    if kind == "rpp":
-        return list(enumerate_rpp(outer, inner, n))
-    if kind == "svt":
-        return list(enumerate_svt(outer, n, inner))
-    if kind == "elegant":
-        return list(enumerate_elegant(outer, inner))
-    if kind == "increasing_elegant":
-        return list(enumerate_increasing_elegant(outer, inner))
-    if kind == "set_valued_elegant":
-        return list(enumerate_set_valued_elegant(outer, inner))
-    if kind == "gt":
-        return list(enumerate_gt(outer, n))
-    raise ValueError(f"unknown tableau family {kind!r}")
 
 
 def tableau_to_json(rows):

@@ -565,10 +565,6 @@ def apply_to_basis(op: PolyMatrix, bits) -> dict:
     return out
 
 
-def e_vacuum(m: int) -> tuple:
-    return (0,) * m
-
-
 def e_lowest(l: int, width: int) -> tuple:
     """1s in the leftmost l slots, 0 elsewhere."""
     return tuple(1 if c < l else 0 for c in range(width))

@@ -123,6 +123,21 @@ class TestYbe:
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["ybe", "--perturb", "0,1"],
+    ["ybe", "--perturb", "2,1,1,0"],
+    ["expand", "g", "--shape", "2,1", "--n", "-1"],
+    ["verify", "fnr_G", "--shape", "5", "--m", "1", "--k", "2", "--n", "2"],
+])
+def test_bad_input_exits_2_with_one_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 class TestThreads:
     def test_worker_pool_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("GROTHLAB_THREADS", "4")

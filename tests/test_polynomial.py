@@ -225,12 +225,22 @@ class TestSerialization:
         assert X(2) < T(1) < Y(1) < Z(3) < GAMMA < BETA
 
 
+def _termwise(a, b):
+    """a * b expanded one pair of terms at a time, without packing."""
+    from grothlab.polynomial import _mono_mul
+
+    out = {}
+    for ma, ca in a.terms.items():
+        for mb, cb in b.terms.items():
+            m = _mono_mul(ma, mb)
+            out[m] = out.get(m, 0) + ca * cb
+    return Polynomial(out)
+
+
 class TestLargeProducts:
     def test_packed_path_matches_naive(self):
         # products above the packing threshold agree with pairwise expansion
         import random
-
-        from grothlab.polynomial import _mono_mul
 
         rng = random.Random(0)
         vars_ = [X(1), X(2), T(1), T(2)]
@@ -245,13 +255,53 @@ class TestLargeProducts:
 
         a, b = rnd(90), rnd(90)
         assert len(a) * len(b) > 512
-        out = {}
-        for ma, ca in a.terms.items():
-            for mb, cb in b.terms.items():
-                m = _mono_mul(ma, mb)
-                out[m] = out.get(m, 0) + ca * cb
-        assert a * b == Polynomial(out)
+        assert a * b == _termwise(a, b)
+
+    @pytest.mark.parametrize("shift", [-70000, -(1 << 16) - 1, 1 << 32, -(10 ** 12)])
+    def test_packed_large_exponents(self, shift):
+        # fixed 32-bit slots with a 2^16 offset used to spill exponents below
+        # -2^16 or near 2^32 into the neighbouring variable's slot
+        a = Polynomial.var(X(1), shift) * sum((x1 ** i for i in range(30)), Polynomial.zero())
+        b = sum((x2 ** j for j in range(30)), Polynomial.zero())
+        assert len(a) * len(b) > 512
+        got = a * b
+        assert got == _termwise(a, b)
+        want = Polynomial.zero()
+        for i in range(30):
+            for j in range(30):
+                want = want + Polynomial.monomial([(X(1), shift + i), (X(2), j)])
+        assert got == want
 
     def test_packed_laurent_associativity(self):
         big = hk(6, [X(1), X(2), X(3)]) + Polynomial.var(T(1), -3)
         assert (big * big) * big == big * (big * big)
+
+
+class TestFromExponentCounts:
+    def test_plain_variables(self):
+        counts = {(2, 0, 1): 3, (0, 1, 0): -1, (1, 1, 1): 0}
+        got = Polynomial.from_exponent_counts(counts, [X(1), X(2), T(1)])
+        assert got == 3 * x1 ** 2 * t1 - x2
+
+    @pytest.mark.parametrize("atoms", [
+        [T(2), T(1)],  # reordered
+        [T(1), T(1)],  # repeated
+        [Fraction(1, 2), Fraction(-2, 3)],  # rational
+        [t1 ** -1, t2 ** -1],  # Laurent
+        [GAMMA, T(1)],  # out of canonical order
+        [x1 + t1, 1 - t2],  # compound
+    ])
+    def test_matches_product_of_powers(self, atoms):
+        counts = {(2, 0): 3, (0, 1): -1, (1, 3): 2, (0, 0): 5}
+        want = Polynomial.zero()
+        for (i, j), c in counts.items():
+            want = want + as_poly(atoms[0]) ** i * as_poly(atoms[1]) ** j * c
+        assert Polynomial.from_exponent_counts(counts, atoms) == want
+
+    def test_cancellation(self):
+        got = Polynomial.from_exponent_counts({(1, 0): 1, (0, 1): -1}, [T(1), T(1)])
+        assert got.is_zero()
+
+    def test_vector_length_must_match(self):
+        with pytest.raises(ValueError):
+            Polynomial.from_exponent_counts({(1,): 1}, [X(1), X(2)])

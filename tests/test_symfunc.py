@@ -1,6 +1,8 @@
+from fractions import Fraction
+
 import pytest
 
-from grothlab.polynomial import BETA, Polynomial, T, X, as_poly
+from grothlab.polynomial import BETA, GAMMA, Polynomial, T, X, as_poly
 from grothlab.shapes import enumerate_partitions_in_box, subpartitions
 from grothlab.symfunc import (
     E_coeff,
@@ -324,6 +326,35 @@ class TestIdentities:
     def test_unknown_identity(self):
         with pytest.raises(ValueError):
             verify_identity("nope")
+
+
+# Non-default t atoms force Polynomial.from_exponent_counts off its direct
+# path (plain variables in canonical order) onto the cached-powers path.
+T_ATOM_CASES = {
+    "reversed": lambda k: [T(i) for i in range(k, 0, -1)],
+    "repeated": lambda k: [T(1)] * k,
+    "rational": lambda k: [Fraction(i, i + 2) for i in range(1, k + 1)],
+    "inverse": lambda k: [as_poly(T(i)) ** -1 for i in range(1, k + 1)],
+    "gamma": lambda k: [GAMMA] + [T(i) for i in range(1, k)],
+}
+
+
+class TestTableauSumsWithAtoms:
+    @pytest.mark.parametrize("case", sorted(T_ATOM_CASES))
+    @pytest.mark.parametrize("la,n", [((2, 1), 2), ((2, 1, 1), 2), ((2, 2, 1), 3)])
+    def test_rpp_matches_jt_h(self, case, la, n):
+        ts = T_ATOM_CASES[case](len(la) - 1)
+        want = dual_grothendieck(la, n, ts, route="jt_h")
+        assert dual_grothendieck(la, n, ts, route="rpp") == want
+        assert dual_grothendieck(la, n, ts, route="schur_decomp") == want
+
+    @pytest.mark.parametrize("case", sorted(T_ATOM_CASES))
+    @pytest.mark.parametrize("la,n", [((2, 1), 3), ((1, 1), 2), ((2, 2, 1), 3)])
+    def test_svt_matches_jacobi_trudi(self, case, la, n):
+        ts = T_ATOM_CASES[case](n - 1)
+        want = grothendieck(la, n, ts, route="jacobi_trudi")
+        assert grothendieck(la, n, ts, route="svt") == want
+        assert grothendieck(la, n, ts, route="schur_expansion") == want
 
 
 class TestSymSpec:

@@ -11,8 +11,10 @@ from grothlab.tableaux import (
     nilp_is_disjoint,
     nilp_to_ssyt,
     nilp_weight,
+    rpp_exponents,
     ssyt_to_gt,
     ssyt_to_nilp,
+    svt_exponents,
     svt_to_json,
     tableau_to_json,
     validate_gt,
@@ -64,6 +66,54 @@ class TestEnumeration:
     def test_json_shapes(self):
         assert tableau_to_json(((1, 2), (2,))) == [[1, 2], [2]]
         assert svt_to_json((((1,), (1, 2)),)) == [[[1], [1, 2]]]
+
+
+def _rpp_vectors_by_sets(rows, outer, inner, n):
+    """a and b of an RPP from their definitions: the distinct values of each
+    column, and the boxes equal to the box below."""
+    grid = {}
+    for r, row in enumerate(rows, start=1):
+        off = inner[r - 1] if r <= len(inner) else 0
+        for j, v in enumerate(row):
+            grid[(r, off + j + 1)] = v
+    a = [0] * n
+    for c in {c for _, c in grid}:
+        for v in {v for (_, cc), v in grid.items() if cc == c}:
+            a[v - 1] += 1
+    b = [0] * (len(outer) - 1)
+    for (r, c), v in grid.items():
+        if grid.get((r + 1, c)) == v:
+            b[r - 1] += 1
+    return tuple(a + b)
+
+
+class TestExponentVectors:
+    SKEW = [((2, 1), ()), ((3, 2, 2), (1,)), ((3, 3, 1), (2, 1)), ((2, 2, 2, 1), ())]
+
+    def test_rpp_column_walk_matches_definition(self):
+        for outer, inner in self.SKEW:
+            for rows in enumerate_rpp(outer, inner, 3):
+                assert (rpp_exponents(rows, outer, inner, 3)
+                        == _rpp_vectors_by_sets(rows, outer, inner, 3))
+
+    def test_weight_rpp_is_the_single_entry_count(self):
+        for outer, inner in self.SKEW:
+            atoms = [X(1), X(2), X(3)] + [T(i) for i in range(1, len(outer))]
+            for rows in enumerate_rpp(outer, inner, 3):
+                vec = rpp_exponents(rows, outer, inner, 3)
+                want = mono(*zip(atoms, vec))
+                assert weight_rpp(rows, outer, inner, 3) == want
+                assert Polynomial.from_exponent_counts({vec: 1}, atoms) == want
+
+    def test_weight_svt_is_the_single_entry_count(self):
+        atoms = [X(1), X(2), X(3), T(1), T(2)]
+        for rows in enumerate_svt((2, 1), 3):
+            vec, sign = svt_exponents(rows, 3, 2)
+            extras = sum(len(cell) - 1 for row in rows for cell in row)
+            assert sign == (-1) ** extras
+            want = mono(*zip(atoms, vec)) * sign
+            assert weight_svt(rows, 2) == want
+            assert Polynomial.from_exponent_counts({vec: sign}, atoms) == want
 
 
 class TestGTPatterns:
