@@ -257,7 +257,10 @@ def cmd_lpp(args):
             payload["bruteforce"] = f"{bf.numerator}/{bf.denominator}"
             ok = bf == exact
     elif args.mode == "mc":
-        res = lpp_mod.monte_carlo(shape, params, args.trials, args.seed)
+        try:
+            res = lpp_mod.monte_carlo(shape, params, args.trials, args.seed)
+        except RuntimeError as exc:  # a parameter too close to 1
+            _fail_usage(exc)
         payload.update({
             "mc_estimate": res.estimate,
             "std_error": res.std_error,

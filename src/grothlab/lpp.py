@@ -11,8 +11,11 @@ are Fractions end to end.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm, sqrt
 
 from .polynomial import T, X
 from .shapes import part, partition
@@ -110,67 +113,82 @@ def exact_prob_bruteforce(la, params: GeomParams) -> Fraction:
     return total
 
 
-def _numeric_h(k, vals):
-    """h_k of a list of Fractions."""
-    if k < 0:
-        return Fraction(0)
-    H = [Fraction(1)] + [Fraction(0)] * k
+def _numeric_h(k, vals, start=None):
+    """[h_0, ..., h_k] of a list of Fractions, k >= 0.  ``start``, if
+    given, is the table (to degree k or more) of values already included."""
+    H = start[: k + 1] if start else [Fraction(1)] + [Fraction(0)] * k
     for a in vals:
         for d in range(1, k + 1):
             H[d] += a * H[d - 1]
-    return H[k]
+    return H
 
 
 def _numeric_det(grid):
-    n = len(grid)
-    if n == 0:
-        return Fraction(1)
-    total = Fraction(0)
-    from itertools import permutations
+    """Determinant of a square grid of Fractions by fraction-free Bareiss
+    elimination (Bareiss, Math. Comp. 22, 1968).
 
-    for perm in permutations(range(n)):
-        sign = 1
-        seen = [False] * n
-        p = list(perm)
-        # parity by cycle count
-        visited = [False] * n
-        cycles = 0
-        for s in range(n):
-            if not visited[s]:
-                cycles += 1
-                t_ = s
-                while not visited[t_]:
-                    visited[t_] = True
-                    t_ = p[t_]
-        sign = -1 if (n - cycles) % 2 else 1
-        term = Fraction(sign)
-        for i in range(n):
-            term *= grid[i][perm[i]]
-            if term == 0:
-                break
-        total += term
-    return total
+    Each row is scaled to integers by the LCM of its denominators; every
+    Bareiss quotient is then an exact integer division, and the integer
+    determinant is divided by the product of the row scales at the end.
+    """
+    rows = []
+    scale = 1
+    for row in grid:
+        d = lcm(*(a.denominator for a in row))
+        rows.append([a.numerator * (d // a.denominator) for a in row])
+        scale *= d
+    n = len(rows)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if not rows[k][k]:
+            swap = next((i for i in range(k + 1, n) if rows[i][k]), None)
+            if swap is None:
+                return Fraction(0)
+            rows[k], rows[swap] = rows[swap], rows[k]
+            sign = -sign
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        for i in range(k + 1, n):
+            row = rows[i]
+            a = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - a * pivot_row[j]) // prev
+        prev = pivot
+    return Fraction(sign * rows[-1][-1], scale) if n else Fraction(1)
+
+
+def _h_grid(la, tables, inner=()):
+    """The Jacobi-Trudi grid h_{la_i - inner_j - i + j}, row i read from
+    tables[i-1]."""
+    l = len(la)
+    return [[H[d] if d >= 0 else 0
+             for d in (part(la, i) - part(inner, j) - i + j for j in range(1, l + 1))]
+            for i, H in zip(range(1, l + 1), tables)]
 
 
 def g_numeric(la, x_vals, t_vals) -> Fraction:
-    """g_la evaluated at rational points via the h-determinant."""
+    """g_la evaluated at rational points via the h-determinant.
+
+    Row i of the grid needs h of (x, t_1..t_{i-1}) up to degree
+    la_i + l - i, which falls with i, so each row's table extends the one
+    above it by t_{i-1}.
+    """
     la = partition(la)
     l = len(la)
-    if l == 0:
-        return Fraction(1)
-    grid = [[_numeric_h(part(la, i) + j - i, list(x_vals) + list(t_vals[: i - 1]))
-             for j in range(1, l + 1)] for i in range(1, l + 1)]
-    return _numeric_det(grid)
+    tables = []
+    H = None
+    for i in range(1, l + 1):
+        H = _numeric_h(part(la, i) + l - i, t_vals[i - 2: i - 1] if H else x_vals, H)
+        tables.append(H)
+    return _numeric_det(_h_grid(la, tables))
 
 
 def schur_numeric(la, vals, inner=()) -> Fraction:
     la, inner = partition(la), partition(inner)
     l = len(la)
-    if l == 0:
-        return Fraction(1)
-    grid = [[_numeric_h(part(la, i) - part(inner, j) - i + j, list(vals))
-             for j in range(1, l + 1)] for i in range(1, l + 1)]
-    return _numeric_det(grid)
+    H = _numeric_h(part(la, 1) + l - 1, vals) if l else []
+    return _numeric_det(_h_grid(la, [H] * l, inner))
 
 
 def exact_prob(la, params: GeomParams) -> Fraction:
@@ -307,27 +325,55 @@ class SplitMix64:
         return (self.next_u64() >> 11) / float(1 << 53)
 
 
-def sample_geometric(q: float, rng: SplitMix64) -> int:
-    """Inverse-CDF sampling of P(k) = (1-q) q^k by cumulative product."""
-    u = rng.uniform()
-    k = 0
+_RUNAWAY = "geometric sampler runaway; q too close to 1"
+
+
+def _geometric_table(q: float) -> tuple:
+    """Cumulative distribution (cum_0, cum_1, ...) of P(k) = (1-q) q^k,
+    summed as cum_0 = 1 - q, tail_k = tail_{k-1} * q, cum_k = cum_{k-1} +
+    tail_k.  The draw for a uniform u is the number of entries <= u.
+
+    The table ends where no uniform can pass it: once cum reaches 1.0
+    (uniforms are < 1), once cum stops changing (every later term is
+    smaller, so it never changes again), or at k = 10 000.  A uniform past
+    the end is a runaway draw.
+    """
     cum = 1.0 - q
     tail = cum
-    while u >= cum:
-        k += 1
+    table = [cum]
+    while cum < 1.0 and len(table) <= 10_000:
         tail *= q
+        if cum + tail == cum:
+            break
         cum += tail
-        if k > 10_000:
-            raise RuntimeError("geometric sampler runaway; q too close to 1")
+        table.append(cum)
+    return tuple(table)
+
+
+def _draw(table, rng: SplitMix64) -> int:
+    k = bisect_right(table, rng.uniform())
+    if k == len(table):
+        raise RuntimeError(_RUNAWAY)
     return k
+
+
+def sample_geometric(q: float, rng: SplitMix64) -> int:
+    """Inverse-CDF sampling of P(k) = (1-q) q^k by cumulative sum."""
+    return _draw(_geometric_table(q), rng)
+
+
+@lru_cache(maxsize=8)
+def _cell_tables(params: GeomParams) -> tuple:
+    """The cumulative table of every matrix cell, row by row."""
+    return tuple(_geometric_table(float(params.cell_param(i, j)))
+                 for i in range(1, params.l + 1) for j in range(1, params.n + 1))
 
 
 def sample_matrix(params: GeomParams, rng: SplitMix64):
     """One l x n matrix with independent geometric entries."""
-    qs = [[float(params.cell_param(i, j)) for j in range(1, params.n + 1)]
-          for i in range(1, params.l + 1)]
-    return tuple(tuple(sample_geometric(qs[i][j], rng) for j in range(params.n))
-                 for i in range(params.l))
+    tables = iter(_cell_tables(params))
+    return tuple(tuple(_draw(next(tables), rng) for _ in range(params.n))
+                 for _ in range(params.l))
 
 
 @dataclass
@@ -340,21 +386,38 @@ class MonteCarloResult:
 
 def monte_carlo(la, params: GeomParams, trials: int, seed: int,
                 stream: int = 0) -> MonteCarloResult:
-    """Hit-frequency estimate of P(G(n) = la) with binomial standard error."""
+    """Hit-frequency estimate of P(G(n) = la) with binomial standard error.
+
+    Draws the matrices of ``sample_matrix`` in the same order and runs the
+    ``last_passage`` recurrence row by row as it draws.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     la = partition(la)
-    target = tuple(part(la, i) for i in range(1, params.l + 1))
-    rng = SplitMix64(seed, stream)
+    l, n = params.l, params.n
+    # G(i, n) for i = 1..l, i.e. the G-vector read bottom-up
+    target = [part(la, l + 1 - i) for i in range(1, l + 1)]
+    tables = _cell_tables(params)
+    rows = [tables[i * n:(i + 1) * n] for i in range(l)]
+    uniform = SplitMix64(seed, stream).uniform
     hits = 0
     for _ in range(trials):
-        w = sample_matrix(params, rng)
-        if last_passage(w) == target:
+        below = [0] * n  # G(i-1, 1..n)
+        ends = []
+        for row in rows:
+            g = 0
+            for j, table in enumerate(row):
+                k = bisect_right(table, uniform())
+                if k == len(table):
+                    raise RuntimeError(_RUNAWAY)
+                b = below[j]
+                g = k + (b if b > g else g)
+                below[j] = g
+            ends.append(g)
+        if ends == target:
             hits += 1
     p = hits / trials
-    import math
-
-    se = math.sqrt(max(p * (1 - p), 1e-300) / trials)
+    se = sqrt(max(p * (1 - p), 1e-300) / trials)
     return MonteCarloResult(p, se, trials, hits)
 
 

@@ -128,6 +128,8 @@ class TestYbe:
     ["ybe", "--perturb", "2,1,1,0"],
     ["expand", "g", "--shape", "2,1", "--n", "-1"],
     ["verify", "fnr_G", "--shape", "5", "--m", "1", "--k", "2", "--n", "2"],
+    ["lpp", "mc", "--shape", "1", "--t", "99999/100000", "--x", "99999/100000",
+     "--trials", "10"],
 ])
 def test_bad_input_exits_2_with_one_line(capsys, argv):
     with pytest.raises(SystemExit) as exc:

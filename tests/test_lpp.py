@@ -1,4 +1,8 @@
+import math
+import random
+from collections import Counter
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -23,8 +27,12 @@ from grothlab.lpp import (
     transition_prob,
     transition_prob_multistep,
     verify_schur_measure_cdf,
+    _numeric_det,
+    g_numeric,
 )
+from grothlab.polynomial import T, X
 from grothlab.shapes import enumerate_partitions_in_box, subpartitions
+from grothlab.symfunc import dual_grothendieck
 from grothlab.tableaux import enumerate_rpp
 
 PARAMS_A = GeomParams(t=(Fraction(1, 2), Fraction(1, 3)),
@@ -183,6 +191,212 @@ class TestSampling:
     def test_trials_validated(self):
         with pytest.raises(ValueError):
             monte_carlo((1,), PARAMS_A, 0, seed=1)
+
+
+def _permutation_det(grid):
+    """Reference determinant: the O(n!·n) signed permutation expansion."""
+    n = len(grid)
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        visited = [False] * n
+        cycles = 0
+        for s in range(n):
+            if not visited[s]:
+                cycles += 1
+                while not visited[s]:
+                    visited[s] = True
+                    s = perm[s]
+        term = Fraction(-1 if (n - cycles) % 2 else 1)
+        for i in range(n):
+            term *= grid[i][perm[i]]
+        total += term
+    return total
+
+
+def _random_grid(rng, n, zero_share=0.0):
+    return [[Fraction(0) if rng.random() < zero_share
+             else Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+             for _ in range(n)] for _ in range(n)]
+
+
+def _det_cases():
+    rng = random.Random(20240)
+    cases = []
+    for n in range(8):
+        for _ in range(3 if n < 7 else 1):
+            cases.append(_random_grid(rng, n))
+            cases.append(_random_grid(rng, n, zero_share=0.5))  # many zero pivots
+    f = Fraction
+    cases += [
+        [[f(0), f(1)], [f(1), f(0)]],  # first pivot zero: one row swap
+        [[f(0), f(0), f(2)], [f(0), f(3), f(1)], [f(5), f(1), f(1)]],  # two swaps
+        [[f(1), f(2), f(3)], [f(2), f(4), f(5)], [f(3), f(7), f(1)]],  # zero after a step
+        [[f(1, 2), f(1, 3)], [f(3, 2), f(1)]],  # singular: row 2 = 3 * row 1
+        [[f(0), f(1), f(2)], [f(0), f(3), f(4)], [f(0), f(5), f(6)]],  # zero column
+    ]
+    base = _random_grid(rng, 4)
+    cases.append(base[:3] + [[a + 2 * b for a, b in zip(base[0], base[1])]])  # dependent
+    cases.append(base[:2] + [base[0]] + base[3:])  # repeated row
+    return cases
+
+
+DET_CASES = _det_cases()
+
+
+class TestNumericDeterminant:
+    @pytest.mark.parametrize("grid", DET_CASES, ids=lambda g: f"n{len(g)}")
+    def test_matches_permutation_expansion(self, grid):
+        assert _numeric_det(grid) == _permutation_det(grid)
+
+    def test_cases_include_singular_and_every_size(self):
+        dets = [_permutation_det(g) for g in DET_CASES]
+        assert sum(1 for d in dets if d == 0) >= 4
+        assert {len(g) for g in DET_CASES} == set(range(8))
+
+    @pytest.mark.parametrize("grid", DET_CASES, ids=lambda g: f"n{len(g)}")
+    def test_matches_sympy(self, grid):
+        sympy = pytest.importorskip("sympy")
+        m = sympy.Matrix(len(grid), len(grid),
+                         [sympy.Rational(a.numerator, a.denominator) for row in grid for a in row])
+        want = m.det() if grid else sympy.Integer(1)
+        assert _numeric_det(grid) == Fraction(int(want.p), int(want.q))
+
+    @pytest.mark.parametrize("la,n", [((1,), 2), ((2, 1), 2), ((2, 2), 3), ((3, 1, 1), 2),
+                                      ((2, 2, 1), 3), ((3, 2, 1), 2), ((2, 1, 1, 1), 2)])
+    def test_g_numeric_matches_jt_e(self, la, n):
+        rng = random.Random(f"{la}:{n}")
+        for _ in range(3):
+            xs = [Fraction(rng.randint(-5, 5), rng.randint(1, 7)) for _ in range(n)]
+            ts = [Fraction(rng.randint(1, 9), rng.randint(1, 7)) for _ in range(len(la) - 1)]
+            poly = dual_grothendieck(la, n, route="jt_e")
+            values = {X(i): v for i, v in enumerate(xs, start=1)}
+            values.update({T(i): v for i, v in enumerate(ts, start=1)})
+            assert g_numeric(la, xs, ts) == poly.evaluate(values)
+
+
+def _loop_geometric(q, rng):
+    """The per-draw inverse-CDF loop the tabled sampler must reproduce."""
+    u = rng.uniform()
+    k = 0
+    cum = 1.0 - q
+    tail = cum
+    while u >= cum:
+        k += 1
+        tail *= q
+        cum += tail
+        if k > 10_000:
+            raise RuntimeError("geometric sampler runaway; q too close to 1")
+    return k
+
+
+def _loop_matrix(params, rng):
+    qs = [[float(params.cell_param(i, j)) for j in range(1, params.n + 1)]
+          for i in range(1, params.l + 1)]
+    return tuple(tuple(_loop_geometric(qs[i][j], rng) for j in range(params.n))
+                 for i in range(params.l))
+
+
+def _loop_hits(la, params, trials, seed):
+    rng = SplitMix64(seed)
+    target = tuple(la[i] if i < len(la) else 0 for i in range(params.l))
+    return sum(last_passage(_loop_matrix(params, rng)) == target for _ in range(trials))
+
+
+def _matrices_until_runaway(sample, params, seed, limit):
+    """Matrices drawn before the first runaway, and whether one occurred."""
+    rng = SplitMix64(seed)
+    out = []
+    try:
+        for _ in range(limit):
+            out.append(sample(params, rng))
+    except RuntimeError:
+        return out, True
+    return out, False
+
+
+class _FixedUniform:
+    def __init__(self, u):
+        self.u = u
+
+    def uniform(self):
+        return self.u
+
+
+LONG_TAIL = GeomParams(t=(Fraction(199, 200), Fraction(1, 2)),
+                       x=(Fraction(198, 199), Fraction(1998, 1999)))  # q = 0.99 in cell (2, 1)
+VERY_LONG_TAIL = GeomParams(t=(Fraction(1999, 2000),), x=(Fraction(1998, 1999),))  # q = 0.999
+SAMPLER_PARAMS = [PARAMS_A, PARAMS_B, LONG_TAIL, VERY_LONG_TAIL,
+                  GeomParams(t=(Fraction(3, 4), Fraction(2, 3), Fraction(1, 5)),
+                             x=(Fraction(3, 5), Fraction(1, 2)))]
+
+
+class TestSamplerBytes:
+    @pytest.mark.parametrize("params", SAMPLER_PARAMS)
+    @pytest.mark.parametrize("seed", [0, 11, 2 ** 40 + 3])
+    def test_sample_matrix_stream(self, params, seed):
+        rng1, rng2 = SplitMix64(seed, 5), SplitMix64(seed, 5)
+        assert ([sample_matrix(params, rng1) for _ in range(150)]
+                == [_loop_matrix(params, rng2) for _ in range(150)])
+        assert rng1.state == rng2.state
+
+    @pytest.mark.parametrize("q", [0.25, 0.5, 0.99, 0.999])
+    def test_sample_geometric(self, q):
+        rng1, rng2 = SplitMix64(9), SplitMix64(9)
+        assert ([sample_geometric(q, rng1) for _ in range(300)]
+                == [_loop_geometric(q, rng2) for _ in range(300)])
+
+    @pytest.mark.parametrize("q", [0.25, 0.5, 0.999, 0.99954])
+    def test_uniforms_on_table_edges(self, q):
+        # uniforms equal to a cumulative value, or just below it, decide
+        # between neighbouring k; the runaway edge is at k = 10 000
+        cums = [1.0 - q]
+        tail = cums[0]
+        for _ in range(10_000):
+            tail *= q
+            cums.append(cums[-1] + tail)
+        us = [0.0, math.nextafter(1.0, 0.0)]
+        for c in cums[:3] + cums[9_999:]:
+            us += [c, math.nextafter(c, 0.0)]
+        for u in us:
+            if u >= 1.0:
+                continue
+            outcomes = []
+            for sample in (sample_geometric, _loop_geometric):
+                try:
+                    outcomes.append(sample(q, _FixedUniform(u)))
+                except RuntimeError:
+                    outcomes.append("runaway")
+            assert outcomes[0] == outcomes[1], u
+
+    @pytest.mark.parametrize("params", SAMPLER_PARAMS)
+    @pytest.mark.parametrize("seed", [1, 42])
+    def test_monte_carlo_hits(self, params, seed):
+        # targets: the G-vectors the reference draws most often, so that hit
+        # counts are far from 0, plus two small shapes
+        rng = SplitMix64(seed)
+        seen = Counter(last_passage(_loop_matrix(params, rng)) for _ in range(300))
+        shapes = [g for g, _ in seen.most_common(3)] + [(), (1,)]
+        assert seen.most_common(1)[0][1] > 1
+        for la in shapes:
+            assert monte_carlo(la, params, 300, seed).hits == _loop_hits(la, params, 300, seed)
+
+    @pytest.mark.parametrize("params", [
+        # float(q) rounds to 1.0: the cumulative sum stagnates at 0.0 at once
+        GeomParams(t=(1 - Fraction(1, 2 ** 60),), x=(1 - Fraction(1, 2 ** 60),)),
+        # cum stops short of 1 at k = 10 000: about one draw in a hundred runs away
+        GeomParams(t=(Fraction(1, 2), Fraction(99977, 100000)),
+                   x=(Fraction(1, 3), Fraction(99977, 100000))),
+    ])
+    def test_runaway_on_the_same_draw(self, params):
+        for seed in (3, 4, 5):
+            got = _matrices_until_runaway(sample_matrix, params, seed, 2000)
+            want = _matrices_until_runaway(_loop_matrix, params, seed, 2000)
+            assert got == want and got[1]
+            trials = len(want[0]) + 1  # the trial that runs away
+            with pytest.raises(RuntimeError, match="runaway"):
+                monte_carlo((1,), params, trials, seed)
+            if trials > 1:
+                monte_carlo((1,), params, trials - 1, seed)  # one trial short: no runaway
 
 
 class TestTasep:

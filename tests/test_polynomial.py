@@ -272,6 +272,23 @@ class TestLargeProducts:
                 want = want + Polynomial.monomial([(X(1), shift + i), (X(2), j)])
         assert got == want
 
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_packed_matches_termwise_property(self, data):
+        # random Laurent products above the packing threshold, exponents up
+        # to +-10^5, against the pairwise (small-path) definition
+        exps = st.tuples(*[st.integers(-10 ** 5, 10 ** 5)] * 3)
+        coeffs = st.integers(-9, 9).filter(bool)
+
+        def poly(size):
+            terms = data.draw(st.dictionaries(exps, coeffs, min_size=size, max_size=size + 15))
+            return sum((Polynomial.monomial(zip((X(1), X(2), T(1)), e), c)
+                        for e, c in terms.items()), Polynomial.zero())
+
+        a, b = poly(20), poly(26)
+        assert len(a) * len(b) > 512
+        assert a * b == _termwise(a, b)
+
     def test_packed_laurent_associativity(self):
         big = hk(6, [X(1), X(2), X(3)]) + Polynomial.var(T(1), -3)
         assert (big * big) * big == big * (big * big)
