@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -203,16 +202,7 @@ def _all_cases(box, n):
 
 
 def cmd_verify(args):
-    cases = list(_verify_cases(args))
-    threads = _thread_cap()
-    results = []
-    if threads > 1 and len(cases) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=min(threads, len(cases))) as pool:
-            results = list(pool.map(lambda nc: (nc[0], bool(nc[1]())), cases))
-    else:
-        results = [(name, bool(fn())) for name, fn in cases]
+    results = [(name, bool(fn())) for name, fn in _verify_cases(args)]
     failures = [name for name, ok in results if not ok]
     if args.format == "json":
         _emit({"command": "verify", "identity": args.identity,
@@ -223,14 +213,6 @@ def cmd_verify(args):
             print(f"[{'PASS' if ok else 'FAIL'}] {name}")
         print(f"{len(results) - len(failures)}/{len(results)} passed")
     return 1 if failures else 0
-
-
-def _thread_cap():
-    raw = os.environ.get("GROTHLAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 # ---------------------------------------------------------------------------

@@ -176,6 +176,8 @@ def g_numeric(la, x_vals, t_vals) -> Fraction:
     """
     la = partition(la)
     l = len(la)
+    if len(t_vals) < l - 1:
+        raise ValueError(f"need at least {l - 1} t atoms for shape {la}")
     tables = []
     H = None
     for i in range(1, l + 1):

@@ -173,6 +173,8 @@ def _plain_code(p) -> int | None:
 
 
 def _norm_coeff(c):
+    if type(c) is int:
+        return c
     if isinstance(c, Fraction):
         if c.denominator == 1:
             return int(c)
@@ -282,6 +284,16 @@ class Polynomial:
                 else:
                     out.pop(m, None)
         return cls._raw({m: _norm_coeff(c) for m, c in out.items()})
+
+    @classmethod
+    def sum(cls, polys) -> "Polynomial":
+        """The sum of an iterable of polynomials, accumulated in one dict."""
+        out: dict = {}
+        get = out.get
+        for p in polys:
+            for m, c in p.terms.items():
+                out[m] = get(m, 0) + c
+        return cls._raw({m: _norm_coeff(c) for m, c in out.items() if c})
 
     # -- basic queries -----------------------------------------------
     def is_zero(self) -> bool:
@@ -507,7 +519,7 @@ class Polynomial:
                 power_cache[key] = got
             return got
 
-        out = _P_ZERO
+        terms = []
         for mono, coeff in self.terms.items():
             free = []
             factor = None
@@ -518,8 +530,8 @@ class Polynomial:
                 else:
                     free.append((code, e))
             term = Polynomial._raw({tuple(free): coeff})
-            out = out + (term if factor is None else term * factor)
-        return out
+            terms.append(term if factor is None else term * factor)
+        return Polynomial.sum(terms)
 
     def evaluate(self, values: dict) -> Fraction:
         """Evaluate at an all-rational point; every variable must be bound."""
@@ -649,7 +661,8 @@ def as_poly(v) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 class PolyMatrix:
-    """Dense matrix of polynomials with an exact determinant."""
+    """Matrix of polynomials with a zero-skipping product and an exact
+    determinant."""
 
     def __init__(self, entries):
         self.entries = [[as_poly(e) for e in row] for row in entries]
@@ -659,23 +672,42 @@ class PolyMatrix:
             if len(row) != self.cols:
                 raise ValueError("ragged matrix")
 
+    @classmethod
+    def _from_rows(cls, entries, cols: int) -> "PolyMatrix":
+        """Internal constructor: rows of Polynomials, each cols long."""
+        mat = object.__new__(cls)
+        mat.entries = entries
+        mat.rows = len(entries)
+        mat.cols = cols
+        return mat
+
     def __getitem__(self, rc):
         r, c = rc
         return self.entries[r][c]
 
     def __mul__(self, other: "PolyMatrix") -> "PolyMatrix":
+        """Product over nonzero entries only: each nonzero (k, a) of a row
+        of self meets the nonzero entries of row k of other."""
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
+        right = [[(j, b) for j, b in enumerate(row) if b.terms]
+                 for row in other.entries]
         out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                s = _P_ZERO
-                for k in range(self.cols):
-                    s = s + self.entries[i][k] * other.entries[k][j]
-                row.append(s)
-            out.append(row)
-        return PolyMatrix(out)
+        for row in self.entries:
+            acc: dict = {}
+            for k, a in enumerate(row):
+                if a.terms:
+                    for j, b in right[k]:
+                        got = acc.get(j)
+                        if got is None:
+                            acc[j] = [a * b]
+                        else:
+                            got.append(a * b)
+            new = [_P_ZERO] * other.cols
+            for j, prods in acc.items():
+                new[j] = Polynomial.sum(prods)
+            out.append(new)
+        return PolyMatrix._from_rows(out, other.cols)
 
     def determinant(self) -> Polynomial:
         return determinant(self)

@@ -244,42 +244,56 @@ class JaggedModel:
         }
 
 
-def _row_transfer(states: dict, row: RowSpec, weights: dict) -> dict:
+def _cell_table(L: LMatrix, z) -> dict:
+    """L at spectral z as a table (aux_in, q_in) -> [(q_out, aux_out, w)]."""
+    table: dict = {}
+    for (ai, qi, qo, ao), w in L.specialize(as_poly(z)).items():
+        table.setdefault((ai, qi), []).append((qo, ao, w))
+    return table
+
+
+def _sweep(table: dict, bits, cols, start_aux: int, end_aux: int) -> dict:
+    """The column sweep of one row: {top: weight} for the bottom edges bits.
+
+    Columns are visited in the order cols; top packs column c into bit c.
+    Paths start at weight 1 and merge where they reach the same (aux, top),
+    so each weight is the row's own, summed over its internal edges.
+    """
+    frontier = {(start_aux, 0): _ONE}
+    for c in cols:
+        q_in = bits[c]
+        nxt: dict = {}
+        for (aux, top), w in frontier.items():
+            for qo, ao, wt in table.get((aux, q_in), ()):
+                key = (ao, top | qo << c)
+                got = nxt.get(key)
+                nxt[key] = w * wt if got is None else got + w * wt
+        frontier = nxt
+        if not frontier:
+            break
+    return {top: w for (aux, top), w in frontier.items() if aux == end_aux}
+
+
+def _row_transfer(states: dict, row: RowSpec, table: dict) -> dict:
     """Push a bit-state distribution through one row.
 
     states maps bottom-edge bit tuples (length row.length) to Polynomial
-    weights; returns the same for the top edges.
+    weights; returns the same for the top edges.  table is row.lmatrix at
+    row.spectral, from :func:`_cell_table`.
     """
     n = row.length
     if n == 0:
-        ok = (row.left == row.right)
-        return dict(states) if ok else {}
-    out: dict = {}
+        return dict(states) if row.left == row.right else {}
     east = row.flow == "E"
     cols = range(n) if east else range(n - 1, -1, -1)
-    start_aux = row.left if east else row.right
-    end_aux = row.right if east else row.left
+    start_aux, end_aux = (row.left, row.right) if east else (row.right, row.left)
+    out: dict = {}
     for bits, w0 in states.items():
-        frontier = [(start_aux, [0] * n, w0)]
-        for c in cols:
-            nxt = []
-            for aux, top, w in frontier:
-                q_in = bits[c]
-                for (ai, qi, qo, ao), wt in weights.items():
-                    if ai == aux and qi == q_in:
-                        t2 = list(top)
-                        t2[c] = qo
-                        nxt.append((ao, t2, w * wt))
-            frontier = nxt
-            if not frontier:
-                break
-        for aux, top, w in frontier:
-            if aux != end_aux:
-                continue
-            key = tuple(top)
-            got = out.get(key)
-            out[key] = w if got is None else got + w
-    return {k: v for k, v in out.items() if not v.is_zero()}
+        for top, w in _sweep(table, bits, cols, start_aux, end_aux).items():
+            out.setdefault(top, []).append(w0 * w)
+    summed = ((tuple(top >> c & 1 for c in range(n)), Polynomial.sum(ws))
+              for top, ws in out.items())
+    return {k: v for k, v in summed if v}
 
 
 def partition_function(model: JaggedModel) -> Polynomial:
@@ -294,8 +308,7 @@ def partition_function(model: JaggedModel) -> Polynomial:
     bottom = tuple(1 if c in model.bottom_ones else 0 for c in range(1, width + 1))
     states = {bottom: _ONE}
     for idx, row in enumerate(rows):
-        weights = row.lmatrix.specialize(row.spectral)
-        states = _row_transfer(states, row, weights)
+        states = _row_transfer(states, row, _cell_table(row.lmatrix, row.spectral))
         next_len = rows[idx + 1].length if idx + 1 < len(rows) else 0
         if next_len < row.length:
             projected: dict = {}
@@ -329,7 +342,7 @@ def enumerate_states(model: JaggedModel):
         return
     width = rows[0].length
     bottom = tuple(1 if c in model.bottom_ones else 0 for c in range(1, width + 1))
-    specs = [(r, r.lmatrix.specialize(r.spectral)) for r in rows]
+    specs = [(r, _cell_table(r.lmatrix, r.spectral)) for r in rows]
 
     def rec(idx, bits, weight, grids):
         if idx == len(rows):
@@ -337,7 +350,7 @@ def enumerate_states(model: JaggedModel):
                    for c in range(1, len(bits) + 1)):
                 yield weight, grids
             return
-        row, weights = specs[idx]
+        row, table = specs[idx]
         n = row.length
         east = row.flow == "E"
         cols = list(range(n)) if east else list(range(n - 1, -1, -1))
@@ -358,12 +371,11 @@ def enumerate_states(model: JaggedModel):
                 return
             c = cols[k]
             q_in = bits[c]
-            for key, wt in weights.items():
-                ai, qi, qo, ao = key
-                if ai == aux and qi == q_in:
-                    top2 = list(top)
-                    top2[c] = qo
-                    yield from cell(k + 1, ao, top2, w * wt, chosen + [(c + 1, key)])
+            for qo, ao, wt in table.get((aux, q_in), ()):
+                top2 = list(top)
+                top2[c] = qo
+                yield from cell(k + 1, ao, top2, w * wt,
+                                chosen + [(c + 1, (aux, q_in, qo, ao))])
 
         yield from cell(0, start_aux, [0] * n, weight, [])
 
@@ -514,26 +526,14 @@ def row_operator(kind: str, z, m: int, lmatrix: LMatrix | None = None) -> PolyMa
     if m > 12:
         raise ValueError("operator width capped at 12")
     aux_in, aux_out = _KIND_AUX[kind]
-    L = lmatrix or lmatrix_nilp()
-    weights = L.specialize(as_poly(z))
+    table = _cell_table(lmatrix or lmatrix_nilp(), z)
     dim = 1 << m
     grid = [[_ZERO] * dim for _ in range(dim)]
     for idx in range(dim):
         bits = tuple(idx >> c & 1 for c in range(m))
-        frontier = [(aux_in, 0, _ONE)]
-        for c in range(m):
-            nxt = []
-            for aux, top_idx, w in frontier:
-                for (ai, qi, qo, ao), wt in weights.items():
-                    if ai == aux and qi == bits[c]:
-                        nxt.append((ao, top_idx | (qo << c), w * wt))
-            frontier = nxt
-            if not frontier:
-                break
-        for aux, top_idx, w in frontier:
-            if aux == aux_out:
-                grid[top_idx][idx] = grid[top_idx][idx] + w
-    return PolyMatrix(grid)
+        for top, w in _sweep(table, bits, range(m), aux_in, aux_out).items():
+            grid[top][idx] = w
+    return PolyMatrix._from_rows(grid, dim)
 
 
 def compose(ops) -> PolyMatrix:
@@ -588,24 +588,8 @@ def operator_route_dualg(la, n) -> Polynomial:
     L = lmatrix_nilp()
 
     def apply_op(vec, z, w):
-        op_weights = L.specialize(as_poly(z))
-        out: dict = {}
-        for bits, coeff in vec.items():
-            frontier = [(0, [0] * w, coeff)]
-            for c in range(w):
-                nxt = []
-                for aux, top, acc in frontier:
-                    for (ai, qi, qo, ao), wt in op_weights.items():
-                        if ai == aux and qi == bits[c]:
-                            t2 = list(top)
-                            t2[c] = qo
-                            nxt.append((ao, t2, acc * wt))
-                frontier = nxt
-            for aux, top, acc in frontier:
-                if aux == 0:
-                    key = tuple(top)
-                    out[key] = out.get(key, _ZERO) + acc
-        return out
+        row = RowSpec(w, L, as_poly(z))
+        return _row_transfer(vec, row, _cell_table(L, z))
 
     target = e_lambda_bits(la, width)
     for i in range(1, n + 1):
@@ -644,44 +628,55 @@ class RelationReport:
 
 
 def _mat_eq(a: PolyMatrix, b: PolyMatrix) -> bool:
-    if a.rows != b.rows or a.cols != b.cols:
-        return False
-    return all(a.entries[i][j] == b.entries[i][j]
-               for i in range(a.rows) for j in range(a.cols))
+    """Entrywise equality.  Most zero entries are the shared zero
+    polynomial, which the row comparison passes over by identity."""
+    return a.rows == b.rows and a.cols == b.cols and a.entries == b.entries
 
 
 def _scale(mat: PolyMatrix, p: Polynomial) -> PolyMatrix:
-    return PolyMatrix([[e * p for e in row] for row in mat.entries])
+    return PolyMatrix._from_rows(
+        [[e * p if e.terms else e for e in row] for row in mat.entries], mat.cols)
 
 
 def _mat_sub(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    return PolyMatrix([[a.entries[i][j] - b.entries[i][j] for j in range(a.cols)]
-                       for i in range(a.rows)])
+    return PolyMatrix._from_rows(
+        [[x - y if y.terms else x for x, y in zip(ra, rb)]
+         for ra, rb in zip(a.entries, b.entries)], a.cols)
 
 
 def verify_operator_relations(family: str, m: int) -> RelationReport:
     """Matrix identities for the Yang-Baxter algebra of the NILP model,
     cleared of denominators where they appear."""
     zi, zj = _ZI, _ZJ
-    A = lambda z: row_operator("A", z, m)
-    B = lambda z: row_operator("B", z, m)
-    D = lambda z: row_operator("D", z, m)
+    ops: dict = {}  # each distinct (kind, z) operator is built once
+
+    def op(kind, z):
+        got = ops.get((kind, z))
+        if got is None:
+            got = ops[(kind, z)] = row_operator(kind, z, m)
+        return got
+
+    A = lambda z: op("A", z)
+    B = lambda z: op("B", z)
+    D = lambda z: op("D", z)
     results = {}
     if family == "AB":
-        lhs = _scale(A(zi) * B(zj), zj - zi)
+        ab = A(zi) * B(zj)
+        lhs = _scale(ab, zj - zi)
         rhs = _mat_sub(_scale(B(zj) * A(zi), zj), _scale(B(zi) * A(zj), zj))
         results["exchange"] = _mat_eq(lhs, rhs)
         results["weighted_swap"] = _mat_eq(_scale(A(zj) * B(zi), zj),
-                                           _scale(A(zi) * B(zj), zi))
+                                           _scale(ab, zi))
         results["bb"] = _mat_eq(_scale(B(zj) * B(zi), zj),
                                 _scale(B(zi) * B(zj), zi))
         results["aa"] = _mat_eq(A(zj) * A(zi), A(zi) * A(zj))
     elif family == "BD":
-        lhs = _scale(D(zi) * B(zj), zi - zj)
+        db = D(zi) * B(zj)
+        lhs = _scale(db, zi - zj)
         rhs = _mat_sub(_scale(B(zj) * D(zi), zj), _scale(B(zi) * D(zj), zj))
         results["exchange"] = _mat_eq(lhs, rhs)
         results["weighted_swap"] = _mat_eq(_scale(D(zj) * B(zi), zj),
-                                           _scale(D(zi) * B(zj), zi))
+                                           _scale(db, zi))
         results["bb"] = _mat_eq(_scale(B(zj) * B(zi), zj),
                                 _scale(B(zi) * B(zj), zi))
         results["dd"] = _mat_eq(D(zj) * D(zi), D(zi) * D(zj))
@@ -691,8 +686,9 @@ def verify_operator_relations(family: str, m: int) -> RelationReport:
         expr = _scale(compose([A(z3), B(z2), B(z1)]), z3 * z1 ** -1)
 
         def subbed(mat, sub):
-            return PolyMatrix([[e.substitute(sub) for e in row]
-                               for row in mat.entries])
+            return PolyMatrix._from_rows(
+                [[e.substitute(sub) if e.terms else e for e in row]
+                 for row in mat.entries], mat.cols)
 
         swap12 = {Z(1): z2, Z(2): z1}
         swap23 = {Z(2): z3, Z(3): z2}

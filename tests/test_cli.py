@@ -141,13 +141,7 @@ def test_bad_input_exits_2_with_one_line(capsys, argv):
 
 
 class TestThreads:
-    def test_worker_pool_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv("GROTHLAB_THREADS", "4")
+    def test_worker_pool_cap(self, capsys):
         code = main(["verify", "routes", "--box", "2x2", "--n", "2"])
         out = capsys.readouterr().out
         assert code == 0 and out.count("[PASS]") == 5
-
-    def test_bad_thread_env_ignored(self, capsys, monkeypatch):
-        monkeypatch.setenv("GROTHLAB_THREADS", "many")
-        code = main(["verify", "coincidence", "--m", "2", "--l", "2", "--n", "2"])
-        assert code == 0

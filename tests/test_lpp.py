@@ -273,6 +273,12 @@ class TestNumericDeterminant:
             values.update({T(i): v for i, v in enumerate(ts, start=1)})
             assert g_numeric(la, xs, ts) == poly.evaluate(values)
 
+    @pytest.mark.parametrize("la,ts", [((2, 1), []), ((2, 2, 1), [Fraction(1, 3)]),
+                                       ((1, 1, 1, 1), [Fraction(1, 2)] * 2)])
+    def test_g_numeric_too_few_t_values_raises(self, la, ts):
+        with pytest.raises(ValueError, match=f"need at least {len(la) - 1} t atoms"):
+            g_numeric(la, [Fraction(1, 2)], ts)
+
 
 def _loop_geometric(q, rng):
     """The per-draw inverse-CDF loop the tabled sampler must reproduce."""

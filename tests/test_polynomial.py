@@ -20,6 +20,7 @@ from grothlab.polynomial import (
     gen_series_coeff,
     hk,
     longest_word,
+    PolyMatrix,
     pi_w0,
     var_from_name,
 )
@@ -76,6 +77,59 @@ class TestSubstitution:
     def test_evaluate(self):
         p = x1 ** 2 + t1
         assert p.evaluate({X(1): Fraction(1, 2), T(1): Fraction(1, 3)}) == Fraction(7, 12)
+
+    def test_many_terms_match_folded_sum(self):
+        # Laurent, rational and compound values on a polynomial of a few
+        # hundred terms, against the term-by-term `out = out + term` loop
+        import random
+
+        rng = random.Random(7)
+        terms = {}
+        for _ in range(300):
+            mono = [(X(1), rng.randint(0, 3)), (X(2), rng.randint(-2, 2)),
+                    (T(1), rng.randint(-3, 3)), (Y(1), rng.randint(-2, 2))]
+            key = tuple((v.code, e) for v, e in mono if e)
+            terms[key] = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        p = Polynomial(terms)
+        assert len(p) > 200
+        bindings = {X(1): x1 + t2, X(2): Fraction(1, 2), T(1): P(T(1)) ** -1,
+                    Y(1): 3 * x1 * t2}
+        got = p.substitute(bindings)
+        want = _substitute_by_folding(p, bindings)
+        assert got == want and got.to_json() == want.to_json()
+
+
+def _substitute_by_folding(p, bindings):
+    """Substitution accumulated one term at a time with `+`."""
+    vals = {v.code: as_poly(val) for v, val in bindings.items()}
+    out = Polynomial.zero()
+    for mono, coeff in p.terms.items():
+        free = [(code, e) for code, e in mono if code not in vals]
+        term = Polynomial({tuple(free): coeff})
+        for code, e in mono:
+            if code in vals:
+                term = term * vals[code] ** e
+        out = out + term
+    return out
+
+
+class TestSum:
+    def test_matches_folded_addition(self):
+        parts = [x1 + t1, Fraction(1, 2) * x1 - t1, x2 ** -1, Polynomial.zero(),
+                 Fraction(1, 2) * x1]
+        want = Polynomial.zero()
+        for q in parts:
+            want = want + q
+        assert Polynomial.sum(parts) == want == 2 * x1 + x2 ** -1
+
+    def test_normalises_and_drops_zeros(self):
+        half = Fraction(1, 2) * x1
+        got = Polynomial.sum(iter([half, half, t1, -t1]))
+        assert got.terms == {((X(1).code, 1),): 1}
+        assert type(got.terms[((X(1).code, 1),)]) is int
+
+    def test_empty(self):
+        assert Polynomial.sum([]).is_zero()
 
 
 class TestGenerators:
@@ -292,6 +346,59 @@ class TestLargeProducts:
     def test_packed_laurent_associativity(self):
         big = hk(6, [X(1), X(2), X(3)]) + Polynomial.var(T(1), -3)
         assert (big * big) * big == big * (big * big)
+
+
+def _triple_loop(a, b):
+    """Every entry of a * b as a sum over all k, zeros included."""
+    return [[sum((a[i, k] * b[k, j] for k in range(a.cols)), Polynomial.zero())
+             for j in range(b.cols)] for i in range(a.rows)]
+
+
+class TestPolyMatrixProduct:
+    @staticmethod
+    def _random(rng, rows, cols, zero_share):
+        pool = [x1, -x1, t1, x1 * t1, 1 - x2, x2 - 1, Fraction(1, 2) * t2 ** -1]
+        return PolyMatrix([[Polynomial.zero() if rng.random() < zero_share
+                            else rng.choice(pool) for _ in range(cols)]
+                           for _ in range(rows)])
+
+    @pytest.mark.parametrize("r,k,c", [(1, 1, 1), (3, 3, 3), (2, 5, 3), (5, 2, 4),
+                                       (1, 6, 1), (6, 1, 6), (8, 8, 8)])
+    def test_matches_triple_loop(self, r, k, c):
+        import random
+
+        rng = random.Random(f"{r}x{k}x{c}")
+        for zero_share in (0.0, 0.5, 0.9):
+            a = self._random(rng, r, k, zero_share)
+            b = self._random(rng, k, c, zero_share)
+            got = a * b
+            assert (got.rows, got.cols) == (r, c)
+            assert got.entries == _triple_loop(a, b)
+
+    def test_zero_rows_and_columns(self):
+        z = Polynomial.zero()
+        a = PolyMatrix([[x1, z, t1], [z, z, z], [1, x2, z]])
+        b = PolyMatrix([[z, x1, 2], [z, t2, z], [z, 1, t1]])
+        got = a * b
+        assert got.entries == _triple_loop(a, b)
+        assert all(e.is_zero() for e in got.entries[1])
+        assert all(row[0].is_zero() for row in got.entries)
+
+    def test_cancelling_entries(self):
+        a = PolyMatrix([[x1, x1, t1], [x2, -x2, 0]])
+        b = PolyMatrix([[1, t1], [-1, t1], [0, x1]])
+        got = a * b
+        assert got.entries == _triple_loop(a, b)
+        assert got[0, 0].is_zero() and got[1, 1].is_zero()
+        assert got[0, 1] == 3 * x1 * t1 and got[1, 0] == 2 * x2
+
+    def test_empty_inner_dimension(self):
+        got = PolyMatrix([[], []]) * PolyMatrix([])
+        assert (got.rows, got.cols, got.entries) == (2, 0, [[], []])
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            PolyMatrix([[x1, x2]]) * PolyMatrix([[x1, x2]])
 
 
 class TestFromExponentCounts:

@@ -1,6 +1,7 @@
 import pytest
 
-from grothlab.polynomial import BETA, Polynomial, T, X, Z, as_poly
+from grothlab import vertex
+from grothlab.polynomial import BETA, Polynomial, PolyMatrix, T, X, Z, as_poly
 from grothlab.shapes import enumerate_partitions_in_box
 from grothlab.symfunc import dual_grothendieck, grothendieck
 from grothlab.vertex import (
@@ -25,9 +26,35 @@ from grothlab.vertex import (
     row_operator,
     set_valued_elegant_expansion,
     verify_operator_relations,
+    _mat_eq,
+    _mat_sub,
+    _scale,
 )
 
 zero, one = Polynomial.zero(), Polynomial.one()
+
+# Paths of this L-matrix merge: from aux 0 a column fed 0 may leave aux 0 or 1.
+MERGING_L = lmatrix_nilp().perturbed((0, 0, 0, 1), as_poly(Z(1)) + 1)
+KERNEL_LMATRICES = [fac[0]() for _, fac in sorted(BUNDLED_FAMILIES.items())] + [MERGING_L]
+
+
+def _dense_row_operator(kind, z, m, L):
+    """One path at a time per input, every L key scanned per column."""
+    aux_in, aux_out = {"A": (0, 0), "B": (1, 0), "C": (0, 1), "D": (1, 1)}[kind]
+    weights = L.specialize(as_poly(z))
+    dim = 1 << m
+    grid = [[zero] * dim for _ in range(dim)]
+    for idx in range(dim):
+        frontier = [(aux_in, 0, one)]
+        for c in range(m):
+            frontier = [(ao, top | qo << c, w * wt)
+                        for aux, top, w in frontier
+                        for (ai, qi, qo, ao), wt in weights.items()
+                        if ai == aux and qi == idx >> c & 1]
+        for aux, top, w in frontier:
+            if aux == aux_out:
+                grid[top][idx] = grid[top][idx] + w
+    return grid
 
 
 class TestYangBaxter:
@@ -99,6 +126,35 @@ class TestPartitionFunctions:
             for grid in grids:
                 for _, (ai, qi, qo, ao) in grid:
                     assert ai + qi == qo + ao  # per-vertex conservation
+
+
+class TestRowKernel:
+    @pytest.mark.parametrize("L", KERNEL_LMATRICES, ids=lambda L: L.name)
+    @pytest.mark.parametrize("kind", "ABCD")
+    def test_row_operator_matches_dense_sweep(self, L, kind):
+        for m in range(1, 5):
+            got = row_operator(kind, Z(2), m, L)
+            assert got.entries == _dense_row_operator(kind, Z(2), m, L), m
+
+    def test_merging_lmatrix_merges(self):
+        # two paths end at aux 1 with top 00: the entry is their sum
+        z = as_poly(Z(1))
+        assert row_operator("C", Z(1), 2, MERGING_L)[0, 0] == (z + 1) * z + (z + 1)
+
+    @pytest.mark.parametrize("model", [
+        build_dualg_model((2, 1), 2),
+        build_dualg_model((2, 2, 1), 2),
+        build_g_model((2, 1), 2),
+        build_g_model((2, 2), 3),
+        build_beta_model((2, 1), 2, 2, beta=-as_poly(BETA)),
+        build_beta_model((1,), 3),
+        build_alt_fermionic(2, 2, 2, beta=0),
+        build_alt_fermionic(2, 1, 1),
+    ], ids=lambda m: f"{m.rows[0].lmatrix.name}-{len(m.rows)}x{m.rows[0].length}")
+    def test_partition_function_matches_state_sum(self, model):
+        states = [w for w, _ in enumerate_states(model)]
+        assert states
+        assert partition_function(model) == Polynomial.sum(states)
 
 
 class TestAltFermionic:
@@ -204,6 +260,32 @@ class TestOperatorRelations:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             verify_operator_relations("XY", 2)
+
+    @pytest.mark.parametrize("family", ["AB", "BD"])
+    def test_perturbed_operators_fail(self, family, monkeypatch):
+        bad = lmatrix_nilp().perturbed((0, 1, 1, 0), as_poly(Z(1)) + 1)
+        built = vertex.row_operator
+        monkeypatch.setattr(vertex, "row_operator",
+                            lambda kind, z, m, lmatrix=None: built(kind, z, m, bad))
+        rep = verify_operator_relations(family, 3)
+        assert not rep.ok, rep.results
+
+    def test_mat_eq_sees_one_sided_entries(self):
+        x = as_poly(X(1))
+        a = PolyMatrix([[zero, x], [zero, zero]])
+        b = PolyMatrix([[zero, zero], [zero, zero]])
+        assert not _mat_eq(a, b) and not _mat_eq(b, a)
+        assert not _mat_eq(a, PolyMatrix([[zero, x], [x - x, x]]))
+        assert _mat_eq(a, PolyMatrix([[zero, x], [x - x, zero]]))
+        assert not _mat_eq(a, PolyMatrix([[zero, x]]))
+
+    def test_sub_and_scale_with_zero_entries(self):
+        x, t = as_poly(X(1)), as_poly(T(1))
+        a = PolyMatrix([[zero, x], [t, zero]])
+        b = PolyMatrix([[x, x], [zero, zero]])
+        assert _mat_sub(a, b).entries == [[-x, zero], [t, zero]]
+        assert _mat_sub(b, a).entries == [[x, zero], [-t, zero]]
+        assert _scale(a, t).entries == [[zero, x * t], [t * t, zero]]
 
 
 class TestSerialization:
