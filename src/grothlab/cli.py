@@ -106,66 +106,65 @@ def _box_arg(text):
         _fail_usage(f"bad box spec {text!r}; expected like 3x3")
 
 
-def _verify_cases(args):
-    """Yield (name, callable) pairs for the requested identity sweep."""
+def _specs(args):
+    """The (identity, params) cases that ``verify`` runs for its arguments."""
     name = args.identity
     box = _box_arg(args.box) if args.box else (3, 3)
+    in_box = subpartitions((box[1],) * box[0])
+    shapes = [la for la in in_box if la]
     n = args.n or 2
     m = args.m or 3
     l = args.l or 2
 
+    if name == "all":
+        return [
+            ("cauchy", dict(m=3, l=2, n=2)),
+            ("littlewood", dict(m=4, l=3, n=2)),
+            ("coincidence", dict(m=3, l=3, n=2)),
+            ("finite_cauchy_schur", dict(m=2, l=2, n=2)),
+            ("cauchy_littlewood_box", dict(m=3, l=2, n=2)),
+            ("bounded_cauchy_littlewood", dict(l=2, n=2, degree_cap=8)),
+            ("fnr_dual", dict(la=(2, 2, 1), n=3)),
+            ("fnr_G", dict(la=(1,), m=4, k=2, n=4)),
+            *((ident, dict(la=la, n=n)) for la in shapes
+              for ident in ("branching", "symmetry")),
+            *(("generalized_coincidence", dict(nu=nu, m=3, n=n)) for nu in shapes),
+            *(("ybe", dict(model=fam)) for fam in vertex.BUNDLED_FAMILIES),
+        ]
     if name in ("cauchy", "littlewood", "coincidence", "finite_cauchy_schur",
                 "cauchy_littlewood_box"):
-        yield (f"{name} m={m} l={l} n={n}",
-               lambda: symfunc.verify_identity(name, m=m, l=l, n=n).holds)
-    elif name == "bounded_cauchy_littlewood":
-        yield (f"{name} l={l} n={n} D={args.degree_cap}",
-               lambda: symfunc.verify_identity(name, l=l, n=n,
-                                               degree_cap=args.degree_cap).holds)
-    elif name in ("symmetry", "branching"):
-        for la in subpartitions(tuple([box[1]] * box[0])):
-            if not la:
-                continue
-            yield (f"{name} la={la} n={n}",
-                   lambda la=la: symfunc.verify_identity(name, la=la, n=n).holds)
-    elif name == "generalized_coincidence":
-        for nu in subpartitions(tuple([box[1]] * box[0])):
-            if not nu:
-                continue
-            yield (f"{name} nu={nu} m={m} n={n}",
-                   lambda nu=nu: symfunc.verify_identity(name, nu=nu, m=m, n=n).holds)
-    elif name == "duality":
-        shapes = subpartitions(tuple([box[1]] * box[0]))
-        for la in shapes:
-            for mu in shapes:
-                yield (f"duality la={la} mu={mu}",
-                       lambda la=la, mu=mu: symfunc.verify_identity(
-                           "duality", la=la, mu=mu, box=box).holds)
-    elif name == "fnr_dual":
-        la = parse_partition(args.shape) if args.shape else (2, 2, 1)
-        yield (f"fnr_dual la={la} n={n}",
-               lambda: symfunc.verify_identity("fnr_dual", la=la, n=n).holds)
-    elif name == "fnr_G":
-        yield (f"fnr_G m={m} k={args.k} n={n}",
-               lambda: symfunc.verify_identity(
-                   "fnr_G", la=parse_partition(args.shape or "1"),
-                   m=m, k=args.k, n=n).holds)
-    elif name == "ybe":
+        return [(name, dict(m=m, l=l, n=n))]
+    if name == "bounded_cauchy_littlewood":
+        return [(name, dict(l=l, n=n, degree_cap=args.degree_cap))]
+    if name in ("symmetry", "branching", "routes"):
+        return [(name, dict(la=la, n=n)) for la in shapes]
+    if name == "generalized_coincidence":
+        return [(name, dict(nu=nu, m=m, n=n)) for nu in shapes]
+    if name == "duality":
+        return [(name, dict(la=la, mu=mu, box=box)) for la in in_box for mu in in_box]
+    if name == "fnr_dual":
+        return [(name, dict(la=parse_partition(args.shape or "2,2,1"), n=n))]
+    if name == "fnr_G":
+        return [(name, dict(la=parse_partition(args.shape or "1"), m=m, k=args.k, n=n))]
+    if name == "ybe":
         model = args.model or "nilp"
         if model not in vertex.BUNDLED_FAMILIES:
             _fail_usage(f"unknown model {model!r}")
-        lfac, rfac = vertex.BUNDLED_FAMILIES[model]
-        yield (f"ybe {model}", lambda: vertex.check_ybe(lfac(), rfac()).ok)
-    elif name == "routes":
-        for la in subpartitions(tuple([box[1]] * box[0])):
-            if not la:
-                continue
-            yield (f"routes la={la} n={n}",
-                   lambda la=la: _routes_agree(la, n))
-    elif name == "all":
-        yield from _all_cases(box, n)
-    else:
-        _fail_usage(f"unknown identity {args.identity!r}")
+        return [(name, dict(model=model))]
+    _fail_usage(f"unknown identity {name!r}")
+
+
+def _label(identity, params):
+    return " ".join([identity, *(f"{k}={v}" for k, v in params.items())])
+
+
+def _run_case(identity, params):
+    if identity == "ybe":
+        lfac, rfac = vertex.BUNDLED_FAMILIES[params["model"]]
+        return vertex.check_ybe(lfac(), rfac()).ok
+    if identity == "routes":
+        return _routes_agree(**params)
+    return symfunc.verify_identity(identity, **params).holds
 
 
 def _routes_agree(la, n):
@@ -178,31 +177,8 @@ def _routes_agree(la, n):
                for r in symfunc.GROTH_ROUTES[1:])
 
 
-def _all_cases(box, n):
-    yield ("cauchy m=3 l=2 n=2", lambda: symfunc.verify_cauchy(3, 2, 2).holds)
-    yield ("littlewood m=4 l=3 n=2", lambda: symfunc.verify_littlewood(4, 3, 2).holds)
-    yield ("coincidence m=3 l=3 n=2", lambda: symfunc.verify_coincidence(3, 3, 2).holds)
-    yield ("finite_cauchy_schur m=l=n=2",
-           lambda: symfunc.verify_finite_cauchy_schur(2, 2, 2).holds)
-    yield ("cauchy_littlewood_box m=3 l=n=2",
-           lambda: symfunc.verify_cauchy_littlewood_box(3, 2, 2).holds)
-    yield ("bounded_cauchy_littlewood l=2 n=2 D=8",
-           lambda: symfunc.verify_bounded_cauchy_littlewood(2, 2, 8).holds)
-    for la in subpartitions(tuple([box[1]] * box[0])):
-        if not la:
-            continue
-        yield (f"branching la={la} n={n}",
-               lambda la=la: symfunc.verify_branching(la, n).holds)
-        yield (f"symmetry la={la} n={n}",
-               lambda la=la: symfunc.verify_symmetry(la, n).holds)
-    for fam in vertex.BUNDLED_FAMILIES:
-        lfac, rfac = vertex.BUNDLED_FAMILIES[fam]
-        yield (f"ybe {fam}", lambda lfac=lfac, rfac=rfac: vertex.check_ybe(
-            lfac(), rfac()).ok)
-
-
 def cmd_verify(args):
-    results = [(name, bool(fn())) for name, fn in _verify_cases(args)]
+    results = [(_label(*spec), bool(_run_case(*spec))) for spec in _specs(args)]
     failures = [name for name, ok in results if not ok]
     if args.format == "json":
         _emit({"command": "verify", "identity": args.identity,

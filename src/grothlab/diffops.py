@@ -67,14 +67,6 @@ class SeqAtom:
         """Largest L with eval(v) = 0 for all v < L."""
         return 1 if self.kind == "j" else 0
 
-    def upper_bound(self):
-        """Smallest U with eval(v) = 0 for all v > U, or None if unbounded."""
-        if self.kind == "e_short":
-            return 1
-        if self.kind == "e":
-            return len(self.atoms)
-        return None
-
 
 @dataclass(frozen=True)
 class SeqFn:
@@ -519,7 +511,7 @@ def verify_generalized_cauchy_det(l, n, m) -> bool:
     """s_{m^l}(x, y, t^-1) = sum over mu in the box of g_mu(x; t^-1) times
     det[Delta^{j-i-1} h_v(y)|_{v=m+1-mu_j}]."""
     from .shapes import enumerate_partitions_in_box
-    from .symfunc import schur
+    from .symfunc import g_jt_h, schur
     from .polynomial import Y
 
     xs = [X(i) for i in range(1, n + 1)]
@@ -527,7 +519,6 @@ def verify_generalized_cauchy_det(l, n, m) -> bool:
     tvals = [as_poly(T(i)) for i in range(1, l + 1)]
     tinv = [t ** -1 for t in tvals]
     lhs = schur([m] * l, [as_poly(a) for a in xs + ys] + tinv)
-    yseq = [as_poly(y) for y in ys]
     rhs = _ZERO
     for mu in enumerate_partitions_in_box(l, m):
         grid = [[stacked_delta_h(l, n, j, i, m + 1 - part(mu, j), tinv, ys)
@@ -535,19 +526,8 @@ def verify_generalized_cauchy_det(l, n, m) -> bool:
         det = determinant(grid)
         if det.is_zero():
             continue
-        g = _g_tinv(mu, xs, tinv)
-        rhs = rhs + g * det
+        rhs = rhs + g_jt_h(mu, xs, tinv) * det
     return lhs == rhs
-
-
-def _g_tinv(la, xs, tinv) -> Polynomial:
-    la = partition(la)
-    l = len(la)
-    if l == 0:
-        return _ONE
-    grid = [[hk(part(la, i) + j - i, [as_poly(x) for x in xs] + tinv[: i - 1])
-             for j in range(1, l + 1)] for i in range(1, l + 1)]
-    return determinant(grid)
 
 
 def verify_expansion_det(l) -> bool:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm, sqrt
 
-from .polynomial import T, X
+from .polynomial import T, X, _h_grid
 from .shapes import part, partition
 
 
@@ -156,15 +156,6 @@ def _numeric_det(grid):
                 row[j] = (row[j] * pivot - a * pivot_row[j]) // prev
         prev = pivot
     return Fraction(sign * rows[-1][-1], scale) if n else Fraction(1)
-
-
-def _h_grid(la, tables, inner=()):
-    """The Jacobi-Trudi grid h_{la_i - inner_j - i + j}, row i read from
-    tables[i-1]."""
-    l = len(la)
-    return [[H[d] if d >= 0 else 0
-             for d in (part(la, i) - part(inner, j) - i + j for j in range(1, l + 1))]
-            for i, H in zip(range(1, l + 1), tables)]
 
 
 def g_numeric(la, x_vals, t_vals) -> Fraction:

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 
+from .shapes import part
+
 FAMILIES = ("x", "t", "y", "z", "gamma", "beta")
 _FAM_ORDER = {fam: i for i, fam in enumerate(FAMILIES)}
 _FAM_SHIFT = 24
@@ -311,19 +313,6 @@ class Polynomial:
             for c, _ in mono:
                 codes.add(c)
         return [_decode(c) for c in sorted(codes)]
-
-    def total_degree(self) -> int | None:
-        if not self.terms:
-            return None
-        return max(_mono_deg(m) for m in self.terms)
-
-    def constant_term(self):
-        return self.terms.get(_ONE, 0)
-
-    def coeff_of(self, pairs):
-        """Coefficient of the monomial given as (Variable, exp) pairs."""
-        key = tuple(sorted(((v.code, e) for v, e in pairs if e), key=lambda p: p[0]))
-        return self.terms.get(key, 0)
 
     def is_symmetric_under_swap(self, a: Variable, b: Variable) -> bool:
         pa, pb = Polynomial.var(a), Polynomial.var(b)
@@ -761,23 +750,39 @@ def determinant(m) -> Polynomial:
 # symmetric polynomial generators
 # ---------------------------------------------------------------------------
 
+def h_table(k: int, atoms, start=None) -> list:
+    """[h_0, ..., h_k] of the atoms, k >= 0.
+
+    Atoms may be Variables, rationals, or arbitrary polynomials (e.g. t1**-1).
+    ``start``, if given, is the table (to degree k or more) of atoms already
+    included, and the result extends it by ``atoms``.
+    """
+    H = list(start[: k + 1]) if start is not None else [_P_ONE] + [_P_ZERO] * k
+    for a in atoms:
+        a = as_poly(a)
+        for d in range(1, k + 1):
+            H[d] = H[d] + a * H[d - 1]
+    return H
+
+
+def _h_grid(la, tables, inner=()):
+    """The Jacobi-Trudi grid h_{la_i - inner_j - i + j}, row i read from
+    tables[i-1]; the tables hold Polynomials or Fractions, and an entry of
+    negative degree is 0."""
+    l = len(la)
+    return [[H[d] if d >= 0 else 0
+             for d in (part(la, i) - part(inner, j) - i + j for j in range(1, l + 1))]
+            for i, H in zip(range(1, l + 1), tables)]
+
+
 def hk(k: int, atoms) -> Polynomial:
     """Complete homogeneous symmetric polynomial of the given atoms.
 
-    Atoms may be Variables, rationals, or arbitrary polynomials (e.g. t1**-1).
     h_k = 0 for k < 0, h_0 = 1.
     """
     if k < 0:
         return _P_ZERO
-    if k == 0:
-        return _P_ONE
-    vals = [as_poly(a) for a in atoms]
-    # H[d] = h_d of the atoms processed so far
-    H = [_P_ONE] + [_P_ZERO] * k
-    for a in vals:
-        for d in range(1, k + 1):
-            H[d] = H[d] + a * H[d - 1]
-    return H[k]
+    return h_table(k, atoms)[k]
 
 
 def ek(k: int, atoms) -> Polynomial:

@@ -24,10 +24,10 @@ from dataclasses import dataclass, field
 
 from .polynomial import (
     _FAM_SHIFT,
+    _h_grid,
     GAMMA,
     Polynomial,
     T,
-    Variable,
     X,
     Y,
     as_poly,
@@ -35,11 +35,11 @@ from .polynomial import (
     divided_difference_word,
     ek,
     gen_series_coeff,
+    h_table,
     hk,
     longest_word,
 )
 from .shapes import (
-    cells,
     conjugate,
     contains,
     enumerate_partitions_in_box,
@@ -56,7 +56,6 @@ class SymSpec:
 
     n: int
     t_count: int = 0
-    y_count: int = 0
     use_gamma: bool = False
 
     def x_atoms(self):
@@ -64,9 +63,6 @@ class SymSpec:
 
     def t_atoms(self):
         return [T(i) for i in range(1, self.t_count + 1)]
-
-    def y_atoms(self):
-        return [Y(i) for i in range(1, self.y_count + 1)]
 
 
 def _atoms(vals):
@@ -103,9 +99,8 @@ def schur(la, atoms, route="jacobi_trudi", inner=()) -> Polynomial:
         l = len(la)
         if l == 0:
             return Polynomial.one()
-        grid = [[hk(part(la, i) - part(inner, j) - i + j, atoms)
-                 for j in range(1, l + 1)] for i in range(1, l + 1)]
-        return determinant(grid)
+        H = h_table(part(la, 1) + l - 1, atoms)
+        return determinant(_h_grid(la, [H] * l, inner))
     raise ValueError(f"unknown schur route {route!r}")
 
 
@@ -126,9 +121,9 @@ def flagged_schur(la, flags, atoms, route="jacobi_trudi", inner=()) -> Polynomia
     if route == "jacobi_trudi":
         if l == 0:
             return Polynomial.one()
-        grid = [[hk(part(la, i) - part(inner, j) - i + j, atoms[:flags[i - 1]])
-                 for j in range(1, l + 1)] for i in range(1, l + 1)]
-        return determinant(grid)
+        tables = [h_table(part(la, i) + l - i, atoms[:flags[i - 1]])
+                  for i in range(1, l + 1)]
+        return determinant(_h_grid(la, tables, inner))
     raise ValueError(f"unknown flagged route {route!r}")
 
 
@@ -275,9 +270,7 @@ def dual_grothendieck(la, n, t_atoms=None, route="jt_h") -> Polynomial:
             total = total + c * schur(mu, xs)
         return total
     if route == "jt_h":
-        grid = [[hk(part(la, i) + j - i, xs + ts[: i - 1]) for j in range(1, l + 1)]
-                for i in range(1, l + 1)]
-        return determinant(grid)
+        return g_jt_h(la, xs, ts)
     if route == "jt_e":
         lac = conjugate(la)
         size = len(lac)
@@ -288,6 +281,25 @@ def dual_grothendieck(la, n, t_atoms=None, route="jt_h") -> Polynomial:
         diffs = [(xs + ts[: k - 1], []) for k in range(1, l + 1)]
         return multi_schur(list(la), diffs)
     raise ValueError(f"unknown g route {route!r}")
+
+
+def g_jt_h(la, x_atoms, t_atoms) -> Polynomial:
+    """g_la with arbitrary atoms in both slots, by the h-determinant
+    det[h_{la_i - i + j}(x, t_1..t_{i-1})].
+
+    Row i needs h up to degree la_i + l - i, which falls with i, so each
+    row's table extends the one above it by t_{i-1}.
+    """
+    la = partition(la)
+    l = len(la)
+    if len(t_atoms) < l - 1:
+        raise ValueError(f"need at least {l - 1} t atoms for shape {la}")
+    tables = []
+    H = None
+    for i in range(1, l + 1):
+        H = h_table(part(la, i) + l - i, t_atoms[i - 2: i - 1] if H else x_atoms, H)
+        tables.append(H)
+    return determinant(_h_grid(la, tables))
 
 
 def _subshapes(la):
@@ -487,22 +499,9 @@ def verify_cauchy(m, l, n) -> IdentityReport:
     for la in enumerate_partitions_in_box(l, m):
         left = dual_grothendieck(la, n, ts)
         comp = tuple(m - part(la, l + 1 - j) for j in range(1, l + 1))
-        right = _g_in_atoms(partition(comp), ys, t_rev)
+        right = g_jt_h(comp, ys, t_rev)
         rhs = rhs + left * right
     return _report("cauchy", dict(m=m, l=l, n=n), lhs, rhs)
-
-
-def _g_in_atoms(la, x_atoms, t_atoms) -> Polynomial:
-    """g_la with arbitrary atoms in both slots (via the h determinant)."""
-    la = partition(la)
-    l = len(la)
-    if l == 0:
-        return Polynomial.one()
-    xs = _atoms(x_atoms)
-    ts = _atoms(t_atoms)
-    grid = [[hk(part(la, i) + j - i, xs + ts[: i - 1]) for j in range(1, l + 1)]
-            for i in range(1, l + 1)]
-    return determinant(grid)
 
 
 def verify_littlewood(m, l, n) -> IdentityReport:
@@ -565,7 +564,7 @@ def verify_branching(la, n) -> IdentityReport:
     l = len(la)
     ts = [T(i) for i in range(1, l)]
     xs = [X(i) for i in range(1, n + 1)]
-    lhs = _g_in_atoms(la, xs + [GAMMA], ts)
+    lhs = g_jt_h(la, xs + [GAMMA], ts)
     rhs = Polynomial.zero()
     gam = as_poly(GAMMA)
     for mu in _subshapes(la):
@@ -578,7 +577,7 @@ def verify_branching(la, n) -> IdentityReport:
             w = w * Polynomial.var(T(i - 1)) ** d
         if w.is_zero():
             continue
-        rhs = rhs + w * _g_in_atoms(mu, xs, [gam] + [as_poly(t) for t in ts])
+        rhs = rhs + w * g_jt_h(mu, xs, [GAMMA] + ts)
     return _report("branching", dict(la=la, n=n), lhs, rhs)
 
 
@@ -665,7 +664,7 @@ def verify_fnr_dual(la, n) -> IdentityReport:
             if i not in S:
                 for j in S:
                     numer = numer * vals[j]
-        gpart = _g_in_atoms(la, xsel[: l - k + 1], xsel[l - k + 1:] + ts_tail)
+        gpart = g_jt_h(la, xsel[: l - k + 1], xsel[l - k + 1:] + ts_tail)
         rhs = rhs + gpart * numer * _vandermonde_cleared(vals, S)
     return _report("fnr_dual", dict(la=la, n=n), lhs, rhs)
 
@@ -805,23 +804,22 @@ def _truncate_x_degree(p: Polynomial, cap: int) -> Polynomial:
 
 
 IDENTITY_REGISTRY = {
-    "cauchy": (verify_cauchy, ("m", "l", "n")),
-    "littlewood": (verify_littlewood, ("m", "l", "n")),
-    "coincidence": (verify_coincidence, ("m", "l", "n")),
-    "symmetry": (verify_symmetry, ("la", "n")),
-    "branching": (verify_branching, ("la", "n")),
-    "generalized_coincidence": (verify_generalized_coincidence, ("nu", "m", "n")),
-    "duality": (verify_duality, ("la", "mu", "box")),
-    "fnr_dual": (verify_fnr_dual, ("la", "n")),
-    "fnr_G": (verify_fnr_G, ("la", "m", "k", "n")),
-    "finite_cauchy_schur": (verify_finite_cauchy_schur, ("m", "l", "n")),
-    "cauchy_littlewood_box": (verify_cauchy_littlewood_box, ("m", "l", "n")),
-    "bounded_cauchy_littlewood": (verify_bounded_cauchy_littlewood, ("l", "n")),
+    "cauchy": verify_cauchy,
+    "littlewood": verify_littlewood,
+    "coincidence": verify_coincidence,
+    "symmetry": verify_symmetry,
+    "branching": verify_branching,
+    "generalized_coincidence": verify_generalized_coincidence,
+    "duality": verify_duality,
+    "fnr_dual": verify_fnr_dual,
+    "fnr_G": verify_fnr_G,
+    "finite_cauchy_schur": verify_finite_cauchy_schur,
+    "cauchy_littlewood_box": verify_cauchy_littlewood_box,
+    "bounded_cauchy_littlewood": verify_bounded_cauchy_littlewood,
 }
 
 
 def verify_identity(name, **params) -> IdentityReport:
     if name not in IDENTITY_REGISTRY:
         raise ValueError(f"unknown identity {name!r}")
-    fn, _ = IDENTITY_REGISTRY[name]
-    return fn(**params)
+    return IDENTITY_REGISTRY[name](**params)

@@ -2,8 +2,8 @@
 
 Every check is an exact equality of polynomials, rationals, or discrete
 structures except the Monte Carlo criterion, which is statistical (4 standard
-errors at 10^5 trials).  Run with ``pytest -s tests/test_acceptance.py`` or
-``python3 scripts/run_acceptance.py`` to see the per-criterion lines.
+errors at 10^5 trials).  Run with ``pytest -s tests/test_acceptance.py`` to
+see the per-criterion lines.
 """
 
 import time

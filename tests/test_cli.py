@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from grothlab import symfunc
 from grothlab.cli import main
+from grothlab.shapes import subpartitions
 
 
 def run(capsys, *argv):
@@ -73,6 +75,65 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "nope"])
         assert exc.value.code == 2
+
+    def test_all_runs_every_case(self, capsys):
+        code, out = run(capsys, "verify", "all", "--box", "3x3", "--n", "2",
+                        "--format", "json")
+        payload = json.loads(out)
+        assert code == 0 and payload["failures"] == 0
+        assert all(case["pass"] for case in payload["cases"])
+        shapes = [la for la in subpartitions((3, 3, 3)) if la]
+        want = {
+            "cauchy m=3 l=2 n=2",
+            "littlewood m=4 l=3 n=2",
+            "coincidence m=3 l=3 n=2",
+            "finite_cauchy_schur m=2 l=2 n=2",
+            "cauchy_littlewood_box m=3 l=2 n=2",
+            "bounded_cauchy_littlewood l=2 n=2 degree_cap=8",
+            *(f"{ident} la={la} n=2" for la in shapes
+              for ident in ("branching", "symmetry")),
+            "ybe model=nilp",
+            "ybe model=fermionic",
+            "ybe model=g_jagged",
+            "fnr_dual la=(2, 2, 1) n=3",
+            "fnr_G la=(1,) m=4 k=2 n=4",
+            *(f"generalized_coincidence nu={nu} m=3 n=2" for nu in shapes),
+        }
+        names = [case["name"] for case in payload["cases"]]
+        assert len(want) == 47 + 21
+        assert len(names) == len(want) and set(names) == want
+
+
+class TestVerifyFailure:
+    """A verifier that reports a failure must make ``verify`` exit 1."""
+
+    LABEL = "cauchy m=3 l=2 n=2"
+
+    @pytest.fixture(autouse=True)
+    def broken_cauchy(self, monkeypatch):
+        def broken(m, l, n):
+            return symfunc.IdentityReport("cauchy", dict(m=m, l=l, n=n), False)
+
+        monkeypatch.setattr(symfunc, "verify_cauchy", broken)
+        # the registry holds the function itself, not its name
+        monkeypatch.setitem(symfunc.IDENTITY_REGISTRY, "cauchy", broken)
+
+    @pytest.mark.parametrize("identity", ["cauchy", "all"])
+    def test_text(self, capsys, identity):
+        code, out = run(capsys, "verify", identity)
+        lines = out.splitlines()
+        assert code == 1
+        assert f"[FAIL] {self.LABEL}" in lines
+        assert sum(line.startswith("[FAIL]") for line in lines) == 1
+        passed, total = map(int, lines[-1].split()[0].split("/"))
+        assert passed == total - 1
+
+    @pytest.mark.parametrize("identity", ["cauchy", "all"])
+    def test_json(self, capsys, identity):
+        code, out = run(capsys, "verify", identity, "--format", "json")
+        payload = json.loads(out)
+        assert code == 1 and payload["failures"] == 1
+        assert [c["name"] for c in payload["cases"] if not c["pass"]] == [self.LABEL]
 
 
 class TestLpp:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,7 @@ from grothlab.polynomial import (
     divided_difference_word,
     ek,
     gen_series_coeff,
+    h_table,
     hk,
     longest_word,
     PolyMatrix,
@@ -145,6 +147,29 @@ class TestGenerators:
         assert ek(-1, [X(1)]).is_zero()
         assert ek(3, [X(1), X(2)]).is_zero()
         assert hk(0, []) == Polynomial.one()
+
+    def test_h_table_against_multisets(self):
+        atoms = [X(1), P(T(1)) ** -1, Fraction(2, 3), GAMMA]
+        table = h_table(4, atoms)
+        assert len(table) == 5
+        for d, got in enumerate(table):
+            want = Polynomial.zero()
+            for pick in combinations_with_replacement(atoms, d):
+                term = Polynomial.one()
+                for a in pick:
+                    term = term * P(a)
+                want = want + term
+            assert got == want == hk(d, atoms), d
+
+    def test_h_table_extends_start(self):
+        a = [T(1), P(T(2)) ** -1]
+        b = [X(1), Fraction(1, 3), GAMMA]
+        for k in range(5):
+            start = h_table(k + 2, b)
+            kept = list(start)
+            assert h_table(k, a, start=h_table(k, b)) == h_table(k, b + a)
+            assert h_table(k, a, start=start) == h_table(k, b + a)
+            assert start == kept
 
     def test_series_coeffs(self):
         assert gen_series_coeff(0, [X(1)], [T(1)]) == Polynomial.one()

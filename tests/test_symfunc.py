@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from grothlab.polynomial import BETA, GAMMA, Polynomial, T, X, as_poly
+from grothlab.polynomial import BETA, GAMMA, Polynomial, T, X, Y, as_poly
 from grothlab.shapes import enumerate_partitions_in_box, subpartitions
 from grothlab.symfunc import (
     E_coeff,
@@ -12,6 +12,7 @@ from grothlab.symfunc import (
     dual_grothendieck,
     e_coeff,
     flagged_schur,
+    g_jt_h,
     grothendieck,
     grothendieck_multischur,
     multi_schur,
@@ -157,6 +158,39 @@ class TestDualGrothendieck:
             g = dual_grothendieck(la, 3)
             assert g.is_symmetric_under_swap(X(1), X(2))
             assert g.is_symmetric_under_swap(X(2), X(3))
+
+
+class TestGJtH:
+    """g_jt_h with atoms in both slots against the jt_e route with x_i and
+    t_i substituted by the same atoms."""
+
+    SHAPES = [(1,), (2, 1), (1, 1, 1), (2, 2, 1), (3, 1, 1), (3, 2, 1)]
+    X_ATOMS = [
+        [X(1), X(2), GAMMA],
+        [Y(1), Y(2)],
+        [Fraction(1, 2), Fraction(-2, 3)],
+        [t1 ** -1, t2 ** -1],
+    ]
+
+    @staticmethod
+    def t_atom_lists(l):
+        ts = [as_poly(T(i)) for i in range(1, l)]
+        return [ts[::-1], [as_poly(GAMMA)] + ts, [t ** -1 for t in ts]]
+
+    def test_against_substituted_jt_e(self):
+        for la in self.SHAPES:
+            l = len(la)
+            for xa in self.X_ATOMS:
+                g = dual_grothendieck(la, len(xa), route="jt_e")
+                for ta in self.t_atom_lists(l):
+                    bind = {X(i): as_poly(a) for i, a in enumerate(xa, 1)}
+                    bind.update({T(i): ta[i - 1] for i in range(1, l)})
+                    assert g_jt_h(la, xa, ta) == g.substitute(bind), (la, xa, ta)
+
+    def test_empty_shape_and_short_t_atoms(self):
+        assert g_jt_h((), [X(1)], []) == Polynomial.one()
+        with pytest.raises(ValueError):
+            g_jt_h((2, 1, 1), [X(1)], [T(1)])
 
 
 class TestSkewDualGrothendieck:
