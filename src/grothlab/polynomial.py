@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 
 from .shapes import part
 
@@ -124,44 +123,70 @@ def _mono_pow(a: tuple, n: int) -> tuple:
     return tuple((c, e * n) for c, e in a)
 
 
-def _mono_deg(a: tuple) -> int:
-    return sum(e for _, e in a)
+def _packing(groups):
+    """(pack, unpack) for one integer layout of the products that take a
+    monomial from each group (from some of the groups, for pack alone).
 
-
-def _mono_cmp(a: tuple, b: tuple) -> int:
-    """Graded order, then lexicographic over the canonical variable order.
-
-    Between monomials of equal total degree, the first variable (in canonical
-    order) whose exponents differ decides; the larger exponent sorts first.
+    A variable's exponent in such a product lies in [lo, hi], the sums over
+    the groups of its least and greatest exponent (absent counts as 0).  Each
+    variable gets a slot of one width, enough for the largest hi - lo, and a
+    monomial packs to the signed sum of e << slot, so the key of a product is
+    the sum of its factors' keys and distinct products get distinct keys.
+    unpack maps a {key: coeff} dict of full products to a Polynomial.
     """
-    da, db = _mono_deg(a), _mono_deg(b)
-    if da != db:
-        return -1 if da > db else 1
-    i = j = 0
-    while i < len(a) and j < len(b):
-        ca, ea = a[i]
-        cb, eb = b[j]
-        if ca == cb:
-            if ea != eb:
-                return -1 if ea > eb else 1
-            i += 1
-            j += 1
-        elif ca < cb:
-            return -1 if ea > 0 else 1
-        else:
-            return 1 if eb > 0 else -1
-    while i < len(a):
-        if a[i][1]:
-            return -1 if a[i][1] > 0 else 1
-        i += 1
-    while j < len(b):
-        if b[j][1]:
-            return 1 if b[j][1] > 0 else -1
-        j += 1
-    return 0
+    lo: dict = {}
+    hi: dict = {}
+    for group in groups:
+        mn: dict = {}
+        mx: dict = {}
+        for mono in group:
+            for c, e in mono:
+                if e < mn.get(c, 0):
+                    mn[c] = e
+                elif e > mx.get(c, 0):
+                    mx[c] = e
+        for c, e in mn.items():
+            lo[c] = lo.get(c, 0) + e
+        for c, e in mx.items():
+            hi[c] = hi.get(c, 0) + e
+    codes = sorted(lo.keys() | hi.keys())
+    width = max(((hi.get(c, 0) - lo.get(c, 0)).bit_length() for c in codes), default=0)
+    pos = {c: width * i for i, c in enumerate(codes)}
+    slots = [(c, pos[c], lo.get(c, 0)) for c in codes]
+    base = sum(low << p for _, p, low in slots)
+    mask = (1 << width) - 1
+
+    def pack(mono) -> int:
+        key = 0
+        for c, e in mono:
+            key += e << pos[c]
+        return key
+
+    def unpack(packed: dict) -> "Polynomial":
+        res = {}
+        for key, coeff in packed.items():
+            if coeff:
+                d = key - base
+                mono = []
+                for c, p, low in slots:
+                    e = ((d >> p) & mask) + low
+                    if e:
+                        mono.append((c, e))
+                res[tuple(mono)] = _norm_coeff(coeff)
+        return Polynomial._raw(res)
+
+    return pack, unpack
 
 
-_MONO_KEY = cmp_to_key(_mono_cmp)
+def _add_products(acc: dict, left, right, sign: int = 1) -> None:
+    """acc += sign * left * right on packed (key, coeff) pairs; zeros stay."""
+    get = acc.get
+    for ka, ca in left:
+        if sign < 0:
+            ca = -ca
+        for kb, cb in right:
+            kk = ka + kb
+            acc[kk] = get(kk, 0) + ca * cb
 
 
 def _plain_code(p) -> int | None:
@@ -398,53 +423,13 @@ class Polynomial:
 
     @staticmethod
     def _mul_packed(a: dict, b: dict) -> "Polynomial":
-        """Large products: pack exponent vectors into one integer per
-        monomial so the inner loop is plain integer addition.
-
-        Every variable gets a slot of the same width, just wide enough for
-        the range of exponents the product can have (each operand's smallest
-        and largest exponent, absent variables counting as 0), and every
-        slot carries an offset that makes the smallest possible exponent 0.
-        So no slot of a product can borrow from or carry into its neighbour.
-        """
-        exps_a = [e for m in a for _, e in m] + [0]
-        exps_b = [e for m in b for _, e in m] + [0]
-        offset = -(min(exps_a) + min(exps_b))
-        width = max(1, (max(exps_a) + max(exps_b) + offset).bit_length())
-        codes = sorted({c for side in (a, b) for m in side for c, _ in m})
-        pos = {c: width * i for i, c in enumerate(codes)}
-        base = 0
-        for i in range(len(codes)):
-            base |= offset << (width * i)
-
-        def pack(mono):
-            key = base  # every slot carries the offset, absent vars included
-            for c, e in mono:
-                key += e << pos[c]
-            return key
-
-        pa = [(pack(m) - base, c) for m, c in a.items()]
-        pb = [(pack(m), c) for m, c in b.items()]
+        """Large products: pack each monomial into one integer (_packing) so
+        the inner loop is plain integer addition."""
+        pack, unpack = _packing((a, b))
         out: dict = {}
-        get = out.get
-        for ka, ca in pa:
-            for kb, cb in pb:
-                kk = ka + kb
-                s = get(kk, 0) + ca * cb
-                if s:
-                    out[kk] = s
-                else:
-                    out.pop(kk, None)
-        mask = (1 << width) - 1
-        res = {}
-        for kk, c in out.items():
-            mono = []
-            for i, code in enumerate(codes):
-                e = ((kk >> (width * i)) & mask) - offset
-                if e:
-                    mono.append((code, e))
-            res[tuple(mono)] = _norm_coeff(c)
-        return Polynomial._raw(res)
+        _add_products(out, [(pack(m), c) for m, c in a.items()],
+                      [(pack(m), c) for m, c in b.items()])
+        return unpack(out)
 
     __rmul__ = __mul__
 
@@ -576,14 +561,25 @@ class Polynomial:
 
     # -- serialization -----------------------------------------------
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda mc: _MONO_KEY(mc[0]))
+        """Graded order: higher total degree first, then the first variable
+        (in canonical order) whose exponents differ; the larger one first."""
+        slot = {c: i for i, c in enumerate(sorted({c for m in self.terms for c, _ in m}), 1)}
+
+        def key(item):
+            v = [0] * (len(slot) + 1)
+            for c, e in item[0]:
+                v[0] -= e
+                v[slot[c]] = -e
+            return v
+
+        return sorted(self.terms.items(), key=key)
 
     def to_json_obj(self) -> list:
+        names = {c: str(_decode(c)) for c in {c for m in self.terms for c, _ in m}}
         out = []
         for mono, coeff in self.sorted_terms():
-            f = Fraction(coeff)
-            exps = {str(_decode(c)): e for c, e in mono}
-            out.append({"coeff": f"{f.numerator}/{f.denominator}", "exps": exps})
+            coeff = f"{coeff}/1" if type(coeff) is int else f"{coeff.numerator}/{coeff.denominator}"
+            out.append({"coeff": coeff, "exps": {names[c]: e for c, e in mono}})
         return out
 
     def to_json(self) -> str:
@@ -706,6 +702,9 @@ def determinant(m) -> Polynomial:
     """Exact determinant by Laplace expansion memoized over column subsets.
 
     Accepts a PolyMatrix or a list-of-lists of polynomials; size <= 12.
+    Every minor stays packed in one integer layout (_packing, with the rows
+    as groups), as an {key: coeff} dict; only the full determinant is
+    unpacked.
     """
     if isinstance(m, PolyMatrix):
         grid = m.entries
@@ -718,32 +717,29 @@ def determinant(m) -> Polynomial:
         raise ValueError("determinant size capped at 12")
     if n == 0:
         return _P_ONE
-    full = (1 << n) - 1
-    memo = {0: _P_ONE}
+    pack, unpack = _packing([mono for e in row for mono in e.terms] for row in grid)
+    packed = [[[(pack(m), c) for m, c in e.terms.items()] for e in row] for row in grid]
+    memo = {0: {0: 1}}
 
-    def minor(mask: int) -> Polynomial:
+    def minor(mask: int) -> dict:
         got = memo.get(mask)
         if got is not None:
             return got
-        k = mask.bit_count()
-        row = grid[n - k]
-        acc = _P_ZERO
+        row = packed[n - mask.bit_count()]
+        acc: dict = {}
         sign = 1
         rest = mask
         while rest:
             low = rest & -rest
-            j = low.bit_length() - 1
-            entry = row[j]
-            if entry.terms:
-                sub = minor(mask ^ low)
-                term = entry * sub
-                acc = acc + term if sign > 0 else acc - term
+            entry = row[low.bit_length() - 1]
+            if entry:
+                _add_products(acc, entry, minor(mask ^ low).items(), sign)
             sign = -sign
             rest ^= low
-        memo[mask] = acc
-        return acc
+        got = memo[mask] = {kk: c for kk, c in acc.items() if c}
+        return got
 
-    return minor(full)
+    return unpack(minor((1 << n) - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -785,20 +781,21 @@ def hk(k: int, atoms) -> Polynomial:
     return h_table(k, atoms)[k]
 
 
+def e_table(k: int, atoms) -> list:
+    """[e_0, ..., e_k] of the atoms, k >= 0; e_d = 0 for d > len(atoms)."""
+    E = [_P_ONE] + [_P_ZERO] * k
+    for seen, a in enumerate(atoms, 1):
+        a = as_poly(a)
+        for d in range(min(k, seen), 0, -1):
+            E[d] = E[d] + a * E[d - 1]
+    return E
+
+
 def ek(k: int, atoms) -> Polynomial:
     """Elementary symmetric polynomial; e_k = 0 for k < 0 or k > len(atoms)."""
     if k < 0:
         return _P_ZERO
-    if k == 0:
-        return _P_ONE
-    vals = [as_poly(a) for a in atoms]
-    if k > len(vals):
-        return _P_ZERO
-    E = [_P_ONE] + [_P_ZERO] * k
-    for a in vals:
-        for d in range(min(k, len(vals)), 0, -1):
-            E[d] = E[d] + a * E[d - 1]
-    return E[k]
+    return e_table(k, atoms)[k]
 
 
 def gen_series_coeff(i: int, x_atoms, t_atoms) -> Polynomial:

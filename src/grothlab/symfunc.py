@@ -33,6 +33,7 @@ from .polynomial import (
     as_poly,
     determinant,
     divided_difference_word,
+    e_table,
     ek,
     gen_series_coeff,
     h_table,
@@ -411,19 +412,13 @@ def grothendieck(la, n, t_atoms=None, route="schur_expansion") -> Polynomial:
             total = total + c * schur(mu, xs)
         return total
     if route == "jacobi_trudi":
+        H = h_table(part(la, 1) + n - 1, xs)
         grid = []
         for i in range(1, n + 1):
-            row = []
-            neg_ts = [-a for a in ts[: i - 1]]
-            for j in range(1, n + 1):
-                entry = Polynomial.zero()
-                for k in range(0, i):
-                    e = ek(k, neg_ts)
-                    if e.is_zero():
-                        continue
-                    entry = entry + e * hk(k + part(la, i) - i + j, xs)
-                row.append(entry)
-            grid.append(row)
+            E = e_table(i - 1, [-a for a in ts[: i - 1]])
+            grid.append([Polynomial.sum(E[k] * H[d] for k in range(i)
+                                        if (d := k + part(la, i) - i + j) >= 0)
+                         for j in range(1, n + 1)])
         return determinant(grid)
     if route == "divided_diff":
         if len(ts) < n - 1:

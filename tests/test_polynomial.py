@@ -1,5 +1,6 @@
 from fractions import Fraction
-from itertools import combinations_with_replacement
+import hashlib
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +18,7 @@ from grothlab.polynomial import (
     determinant,
     divided_difference,
     divided_difference_word,
+    e_table,
     ek,
     gen_series_coeff,
     h_table,
@@ -161,6 +163,20 @@ class TestGenerators:
                 want = want + term
             assert got == want == hk(d, atoms), d
 
+    def test_e_table_against_subsets(self):
+        atoms = [X(1), P(T(1)) ** -1, Fraction(2, 3), GAMMA]
+        for k in range(7):
+            table = e_table(k, atoms)
+            assert len(table) == k + 1
+            for d, got in enumerate(table):
+                want = Polynomial.zero()
+                for pick in combinations(atoms, d):
+                    term = Polynomial.one()
+                    for a in pick:
+                        term = term * P(a)
+                    want = want + term
+                assert got == want == ek(d, atoms), (k, d)
+
     def test_h_table_extends_start(self):
         a = [T(1), P(T(2)) ** -1]
         b = [X(1), Fraction(1, 3), GAMMA]
@@ -205,6 +221,19 @@ class TestDeterminant:
     def test_non_square_raises(self):
         with pytest.raises(ValueError):
             determinant([[x1, x2]])
+
+    def test_size_cap(self):
+        eye = lambda n: [[int(i == j) for j in range(n)] for i in range(n)]
+        assert determinant(eye(12)) == Polynomial.one()
+        with pytest.raises(ValueError, match="capped at 12"):
+            determinant(eye(13))
+
+    def test_polymatrix_determinant_matches_function(self):
+        h = lambda k: hk(k, [X(1), P(T(1)) ** -1, Fraction(1, 3)])
+        entries = [[h(2), h(3), x1], [h(0), h(1), t1 ** -2], [0, h(0), h(4)]]
+        want = determinant(entries)
+        assert PolyMatrix(entries).determinant() == want
+        assert want.to_json() == determinant(PolyMatrix(entries)).to_json()
 
 
 small_polys = st.lists(
@@ -368,6 +397,16 @@ class TestLargeProducts:
         assert len(a) * len(b) > 512
         assert a * b == _termwise(a, b)
 
+    def test_packed_cancellation_drops_zeros(self):
+        # (sum x1^i) * (1 - x1) * c telescopes to (1 - x1^30) * c
+        a = sum((x1 ** i for i in range(30)), Polynomial.zero())
+        c = sum((t1 ** j for j in range(-10, 10)), Polynomial.zero())
+        b = c - x1 * c
+        assert len(a) * len(b) > 512
+        got = a * b
+        assert got == c - x1 ** 30 * c
+        assert len(got) == 40 and all(got.terms.values())
+
     def test_packed_laurent_associativity(self):
         big = hk(6, [X(1), X(2), X(3)]) + Polynomial.var(T(1), -3)
         assert (big * big) * big == big * (big * big)
@@ -454,3 +493,68 @@ class TestFromExponentCounts:
     def test_vector_length_must_match(self):
         with pytest.raises(ValueError):
             Polynomial.from_exponent_counts({(1,): 1}, [X(1), X(2)])
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestPinnedOutputBytes:
+    """sha256 of to_json() and str(), taken before the key-based term sort
+    and the packed determinant: term order and coefficient formatting must
+    not drift."""
+
+    x3, y1, z2 = P(X(3)), P(Y(1)), P(Z(2))
+    gamma, beta = P(GAMMA), P(BETA)
+    POLYS = {
+        "zero": Polynomial.zero(),
+        "one": Polynomial.one(),
+        "const": Polynomial.const(Fraction(-7, 3)),
+        "linear": x1 + x2 + t1,
+        "laurent": Fraction(3, 2) * x1 ** 2 * t1 ** -1 - x2 + 7,
+        "rational": Fraction(1, 6) * x1 * x3 - Fraction(5, 4) * t2 ** 3 + Fraction(2, 9),
+        "families": (x1 - y1 * z2 + gamma * beta ** 2) ** 2,
+        "mixed_degree": x1 ** -3 * x2 ** 5 - t1 ** 2 * t2 ** -2 + x3 * y1 - 1,
+        "h3": hk(3, [X(1), X(2), T(1)]),
+        "big_exps": x1 ** 100000 * t2 ** -99999 - 3 * x2 ** 65536 + z2 ** -65535,
+    }
+    DIGESTS = {
+        "zero": ("4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+                 "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9"),
+        "one": ("0e4c9cddee9a6cf3a85a6c72f95baa0fa584e2f9ccce640a14864834cda82a25",
+                "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b"),
+        "const": ("25c0cf4c6bf371dab93c29b4a4fe008b7dac41f870c29213f4d71ece4e88a898",
+                  "2e7242e91759da0f99770a5b5d96b1531023c9874178a08c5acf79aef266d22a"),
+        "linear": ("863f545f8f6005d04567fe1d0bcd649f312e6da041553d40bd550415ad4535cc",
+                   "402362e59f1a74245a6a06be714ac0777e2838bad3a0f677e457c276951ced9b"),
+        "laurent": ("c3330f4149f583b226dcdb991ab1260864ae2c4a073eb562aa4c13df28042725",
+                    "127de4065c9d4b5c485b07fa31848ffeb74df9eebaffb0aeafaeea69d8a730a5"),
+        "rational": ("9bf4f53df858b17375cb046a3aca4ae7d6d0419ee18db82eb2892289eca89aa8",
+                     "730177b28357f09778f2b0dbedcbbea0e3b93e5c1d8c0e0eb424ec123a3f6654"),
+        "families": ("48f15709c254ab229c74531b78f52b0d118992688986ae21861aba9d2e08306f",
+                     "b8a2267bcf41a3ca12305d0adb6255f7802adb9cc4b5e097a8860d5ea899e5d9"),
+        "mixed_degree": ("784966024e7c4614f088bed6f94726f518d5ab38900307ad1b902c013adf011c",
+                         "7297fd0596b6318ad5df26cad30090221016d0fbe54b14c07a448dc4e2808a12"),
+        "h3": ("e441c09a0eb57f8571e7722e6c9c7100e17891a539be1008fbcc83c9ade000d5",
+               "a013d5e725f2333d3dcfb10cf78fcd6bea4d76729b497fd728672474f1e0fd03"),
+        "big_exps": ("6cc6af18a0746b40cd76803e278d9c6e4fb071a3f788125c36b98f706d89b5cb",
+                     "d7c36d73e174900b63a4ac84c0a00e2959f99d5d85624ab4411f901097d15e71"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_polynomial_bytes(self, name):
+        p = self.POLYS[name]
+        assert (_sha(p.to_json()), _sha(str(p))) == self.DIGESTS[name]
+
+    @pytest.mark.parametrize("route", ["rpp", "schur_decomp", "jt_h", "jt_e", "multischur"])
+    def test_dual_grothendieck_bytes(self, route):
+        from grothlab.symfunc import dual_grothendieck
+
+        got = dual_grothendieck((3, 2, 1), 4, route=route).to_json()
+        assert _sha(got) == "3f3e248a1300c1590762f540b3e3d3d19dee1c417e5c201a5a943ec2eac983d9"
+
+    def test_grothendieck_jacobi_trudi_bytes(self):
+        from grothlab.symfunc import grothendieck
+
+        got = grothendieck((3, 2, 1), 4, route="jacobi_trudi").to_json()
+        assert _sha(got) == "f97589af9ab08774d57f1ac9223c2ec2c92e4d5929dda99bb33e34196d696f8d"
