@@ -19,7 +19,6 @@ from .polynomial import (
     divided_difference,
     divided_difference_word,
     ek,
-    gen_series_coeff,
     hk,
     longest_word,
     pi_w0,
@@ -40,7 +39,6 @@ __all__ = [
     "divided_difference",
     "divided_difference_word",
     "ek",
-    "gen_series_coeff",
     "hk",
     "longest_word",
     "pi_w0",

@@ -101,20 +101,27 @@ def cmd_expand(args):
 def _box_arg(text):
     try:
         a, b = text.lower().split("x")
-        return int(a), int(b)
+        box = int(a), int(b)
     except ValueError:
         _fail_usage(f"bad box spec {text!r}; expected like 3x3")
+    if min(box) < 0:
+        _fail_usage(f"bad box spec {text!r}; sides must be nonnegative")
+    return box
 
 
 def _specs(args):
     """The (identity, params) cases that ``verify`` runs for its arguments."""
     name = args.identity
+    for flag in ("n", "m", "l", "k", "degree_cap"):
+        value = getattr(args, flag)
+        if value is not None and value < 0:
+            _fail_usage(f"--{flag.replace('_', '-')} must be nonnegative, got {value}")
     box = _box_arg(args.box) if args.box else (3, 3)
     in_box = subpartitions((box[1],) * box[0])
     shapes = [la for la in in_box if la]
-    n = args.n or 2
-    m = args.m or 3
-    l = args.l or 2
+    n = 2 if args.n is None else args.n
+    m = 3 if args.m is None else args.m
+    l = 2 if args.l is None else args.l
 
     if name == "all":
         return [
@@ -178,7 +185,10 @@ def _routes_agree(la, n):
 
 
 def cmd_verify(args):
-    results = [(_label(*spec), bool(_run_case(*spec))) for spec in _specs(args)]
+    specs = _specs(args)
+    if not specs:
+        _fail_usage(f"no cases to run for {args.identity!r} with these arguments")
+    results = [(_label(*spec), bool(_run_case(*spec))) for spec in specs]
     failures = [name for name, ok in results if not ok]
     if args.format == "json":
         _emit({"command": "verify", "identity": args.identity,

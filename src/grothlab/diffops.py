@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .polynomial import Polynomial, T, X, as_poly, determinant, ek, hk
+from .polynomial import Polynomial, T, X, as_poly, determinant, e_table, ek, h_table, hk
 from .shapes import conjugate, part, partition
 
 _ONE = Polynomial.one()
@@ -36,7 +36,8 @@ class SeqAtom:
     kind 'v'      : v -> atom^v H(v)             (single atom; x^v Heaviside)
     kind 'e_short': v -> atom^v E(v)             (E = indicator of {0, 1})
     kind 'e'      : v -> e_v(atoms)              (zero outside 0..len(atoms))
-    kind 'j'      : v -> atom^{v-1} H(v-1)       (the inverse-step kernel)
+
+    Each kind vanishes below v = 0.
     """
 
     kind: str
@@ -57,15 +58,7 @@ class SeqAtom:
             return _ZERO
         if self.kind == "e":
             return ek(v, self.atoms)
-        if self.kind == "j":
-            if v < 1:
-                return _ZERO
-            return as_poly(self.atoms[0]) ** (v - 1)
         raise ValueError(f"unknown atom kind {self.kind!r}")
-
-    def lower_bound(self) -> int:
-        """Largest L with eval(v) = 0 for all v < L."""
-        return 1 if self.kind == "j" else 0
 
 
 @dataclass(frozen=True)
@@ -87,9 +80,8 @@ class SeqFn:
         return total
 
     def lower_bound(self) -> int:
-        if not self.parts:
-            return 0
-        return min(a.lower_bound() - shift for _, shift, a in self.parts)
+        """Largest L with eval(v) = 0 for all v < L (every atom vanishes below 0)."""
+        return -max((shift for _, shift, _ in self.parts), default=0)
 
     def shifted(self, d: int) -> "SeqFn":
         return SeqFn(tuple((c, s + d, a) for c, s, a in self.parts))
@@ -116,6 +108,23 @@ def e_short_seq(atom) -> SeqFn:
 
 def e_seq(atoms) -> SeqFn:
     return SeqFn.atom("e", atoms)
+
+
+class _CachedSeq:
+    """The sequence v -> fn(v), vanishing below ``lower``; each value is
+    computed once."""
+
+    def __init__(self, fn, lower: int):
+        self._fn, self._lower, self._cache = fn, lower, {}
+
+    def eval(self, v: int) -> Polynomial:
+        got = self._cache.get(v)
+        if got is None:
+            got = self._cache[v] = self._fn(v)
+        return got
+
+    def lower_bound(self) -> int:
+        return self._lower
 
 
 def convolve_eval(f: SeqFn, g: SeqFn, v: int) -> Polynomial:
@@ -168,10 +177,9 @@ def eval_delta(word, f: SeqFn, v: int) -> Polynomial:
 def forward_closed(ts, f: SeqFn, v: int) -> Polynomial:
     """Delta_{t_k} ... Delta_{t_1} f(v) = sum_m e_m(-t) f(v+k-m)."""
     k = len(ts)
-    neg = [-as_poly(t) for t in ts]
+    E = e_table(k, [-as_poly(t) for t in ts])
     total = _ZERO
-    for m in range(0, k + 1):
-        e = ek(m, neg)
+    for m, e in enumerate(E):
         if e.is_zero():
             continue
         val = f.eval(v + k - m)
@@ -182,16 +190,13 @@ def forward_closed(ts, f: SeqFn, v: int) -> Polynomial:
 
 def inverse_closed(ts, f: SeqFn, v: int) -> Polynomial:
     """Delta^{-1}_{t_k} ... Delta^{-1}_{t_1} f(v) = sum_m h_m(t) f(v-k-m)."""
-    k = len(ts)
-    vals = [as_poly(t) for t in ts]
-    lo = f.lower_bound()
+    top = v - len(ts) - f.lower_bound()
+    H = h_table(max(top, 0), ts)
     total = _ZERO
-    m = 0
-    while v - k - m >= lo:
-        val = f.eval(v - k - m)
+    for m in range(top + 1):
+        val = f.eval(v - len(ts) - m)
         if not val.is_zero():
-            total = total + hk(m, vals) * val
-        m += 1
+            total = total + H[m] * val
     return total
 
 
@@ -216,6 +221,19 @@ def delta_span_values(ts, a: int, b: int, f: SeqFn, v: int) -> Polynomial:
     return inverse_closed([at(k) for k in range(b, a)], f, v)
 
 
+def _span_det(ts, f, tops, bots, l) -> Polynomial:
+    """det[ delta_span(ts, i, j, f, tops_i - bots_j) ] over i, j = 1..l."""
+    return determinant([[delta_span(ts, i, j, f, part(tops, i) - part(bots, j))
+                         for j in range(1, l + 1)] for i in range(1, l + 1)])
+
+
+def _span_values_det(ts, f, tops, bots, l) -> Polynomial:
+    """det[ delta_span_values(ts, bots_j + 1, tops_i, f, j - i + 1) ] over
+    i, j = 1..l."""
+    return determinant([[delta_span_values(ts, part(bots, j) + 1, part(tops, i), f, j - i + 1)
+                         for j in range(1, l + 1)] for i in range(1, l + 1)])
+
+
 # ---------------------------------------------------------------------------
 # one-variable determinant lemmas
 # ---------------------------------------------------------------------------
@@ -223,10 +241,7 @@ def delta_span_values(ts, a: int, b: int, f: SeqFn, v: int) -> Polynomial:
 
 def one_variable_det(la, mu, l, x_atom, ts) -> Polynomial:
     """det[ Delta^{j-i} v(la_i - mu_j) ] with v(k) = x^k H(k)."""
-    f = v_seq(x_atom)
-    grid = [[delta_span(ts, i, j, f, part(la, i) - part(mu, j))
-             for j in range(1, l + 1)] for i in range(1, l + 1)]
-    return determinant(grid)
+    return _span_det(ts, v_seq(x_atom), la, mu, l)
 
 
 def one_variable_factorized(la, mu, l, x_atom, ts) -> Polynomial:
@@ -256,16 +271,7 @@ def verify_one_variable_lemma(la, mu, l) -> bool:
 def one_variable_det_e(la, mu, l, x_atom, ts) -> Polynomial:
     """det[ Delta_{-t}^{la_i - mu_j - 1} f~(j - i + 1) ] with f~ = x^v E(v);
     the operator word is indexed by part values, negated spectrals."""
-    f = e_short_seq(x_atom)
-    neg = [-as_poly(t) for t in ts]
-    grid = []
-    for i in range(1, l + 1):
-        row = []
-        for j in range(1, l + 1):
-            a, b = part(mu, j) + 1, part(la, i)
-            row.append(delta_span_values(neg, a, b, f, j - i + 1))
-        grid.append(row)
-    return determinant(grid)
+    return _span_values_det([-as_poly(t) for t in ts], e_short_seq(x_atom), la, mu, l)
 
 
 def one_variable_factorized_e(la, mu, l, x_atom, ts) -> Polynomial:
@@ -311,11 +317,7 @@ def skew_jt_h(outer, inner, n, t_atoms=None) -> Polynomial:
     if t_atoms is None:
         t_atoms = [T(i) for i in range(1, l)]
     ts = [as_poly(t) for t in t_atoms]
-    xs = [X(i) for i in range(1, n + 1)]
-    f = h_seq(xs)
-    grid = [[delta_span(ts, i, j, f, part(outer, i) - part(inner, j))
-             for j in range(1, l + 1)] for i in range(1, l + 1)]
-    return determinant(grid)
+    return _span_det(ts, h_seq([X(i) for i in range(1, n + 1)]), outer, inner, l)
 
 
 def skew_jt_e(outer, inner, n, t_atoms=None) -> Polynomial:
@@ -329,15 +331,7 @@ def skew_jt_e(outer, inner, n, t_atoms=None) -> Polynomial:
     if t_atoms is None:
         t_atoms = [T(i) for i in range(1, len(outer) + 1)]
     neg = [-as_poly(t) for t in t_atoms]
-    f = e_seq([X(i) for i in range(1, n + 1)])
-    grid = []
-    for i in range(1, l + 1):
-        row = []
-        for j in range(1, l + 1):
-            a, b = part(ic, j) + 1, part(oc, i)
-            row.append(delta_span_values(neg, a, b, f, j - i + 1))
-        grid.append(row)
-    return determinant(grid)
+    return _span_values_det(neg, e_seq([X(i) for i in range(1, n + 1)]), oc, ic, l)
 
 
 # ---------------------------------------------------------------------------
@@ -351,38 +345,10 @@ def verify_convolution(f: SeqFn, g: SeqFn, la, mu, l, window_pad=2) -> bool:
     la, mu = partition(la), partition(mu)
     ts = [T(i) for i in range(1, l + 1)]
 
-    class _Conv:
-        def __init__(self, f, g):
-            self.f, self.g = f, g
-            self._cache = {}
-
-        def eval(self, v):
-            got = self._cache.get(v)
-            if got is None:
-                got = convolve_eval(self.f, self.g, v)
-                self._cache[v] = got
-            return got
-
-        def lower_bound(self):
-            return self.f.lower_bound() + self.g.lower_bound()
-
-    fg = _Conv(f, g)
-
-    def det_of(seq, tops, bots):
-        grid = [[delta_span(ts, i, j, seq, part(tops, i) - part(bots, j))
-                 for j in range(1, l + 1)] for i in range(1, l + 1)]
-        return determinant(grid)
-
+    fg = _CachedSeq(lambda v: convolve_eval(f, g, v), f.lower_bound() + g.lower_bound())
     lo = min(part(mu, l) + f.lower_bound(), 0) - l - window_pad
     hi = part(la, 1) - g.lower_bound() + l + window_pad
     lhs = _ZERO
-
-    def tuples(i, floor_val, prefix):
-        if i == l:
-            yield tuple(prefix)
-            return
-        for v in range(floor_val, hi + 1):
-            yield from tuples(i + 1, lo, prefix + [v])
 
     def ordered(i, hi_cap, prefix):
         if i == l:
@@ -393,14 +359,14 @@ def verify_convolution(f: SeqFn, g: SeqFn, la, mu, l, window_pad=2) -> bool:
 
     for nus in ordered(0, hi, []):
         nu = tuple(nus)
-        d1 = det_of(f, nu, mu)
+        d1 = _span_det(ts, f, nu, mu, l)
         if d1.is_zero():
             continue
-        d2 = det_of(g, la, nu)
+        d2 = _span_det(ts, g, la, nu, l)
         if d2.is_zero():
             continue
         lhs = lhs + d1 * d2
-    rhs = det_of(fg, la, mu)
+    rhs = _span_det(ts, fg, la, mu, l)
     return lhs == rhs
 
 
@@ -409,49 +375,50 @@ def verify_convolution(f: SeqFn, g: SeqFn, la, mu, l, window_pad=2) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _tinv_atoms(l, ts=None):
+def _t_values(l, ts=None):
+    """t_1..t_l as polynomials, or the given ts."""
     if ts is None:
-        return [as_poly(T(i)) ** -1 for i in range(1, l + 1)]
-    return [as_poly(t) ** -1 for t in ts]
+        return [as_poly(T(i)) for i in range(1, l + 1)]
+    return [as_poly(t) for t in ts]
 
 
-def stacked_delta_h(l, n, j, i, v, tinv, xs) -> Polynomial:
+def _tinv_atoms(l):
+    return [t ** -1 for t in _t_values(l)]
+
+
+def _cdf_prefactor(tvals, xs, exps=()) -> Polynomial:
+    """prod t_i^{exps_i} prod (1 - t_i x_j), one factor at a time: the powers
+    of t first, then the factors (1 - t_i x_j) for i, then j, in order."""
+    pref = _ONE
+    for tv, e in zip(tvals, exps):
+        pref = pref * tv ** e
+    for tv in tvals:
+        for xv in xs:
+            pref = pref * (_ONE - tv * as_poly(xv))
+    return pref
+
+
+def stacked_delta_h(j, i, v, tinv, xs) -> Polynomial:
     """Delta_{t^-1}^{j-i-1} h_v(x) := (inverse word t_1..t_i)(forward word
     t_1..t_{j-1}) applied to the h-sequence, evaluated at v."""
     f = h_seq(xs)
+    fwd = _CachedSeq(lambda w: forward_closed(tinv[: j - 1], f, w), f.lower_bound() - (j - 1))
+    return inverse_closed(tinv[:i], fwd, v)
 
-    class _Fwd:
-        def __init__(self):
-            self._cache = {}
 
-        def eval(self, w):
-            got = self._cache.get(w)
-            if got is None:
-                got = forward_closed(tinv[: j - 1], f, w)
-                self._cache[w] = got
-            return got
-
-        def lower_bound(self):
-            return f.lower_bound() - (j - 1)
-
-    return inverse_closed(tinv[:i], _Fwd(), v)
+def _stacked_det(tinv, xs, vs) -> Polynomial:
+    """det[ stacked_delta_h(j, i, vs_j) ] over i, j = 1..len(vs)."""
+    l = len(vs)
+    return determinant([[stacked_delta_h(j, i, vs[j - 1], tinv, xs) for j in range(1, l + 1)]
+                        for i in range(1, l + 1)])
 
 
 def lpp_cdf_det(l, n, m, ts=None) -> Polynomial:
     """prod t_i^m prod (1 - t_i x_j) det[ Delta^{j-i-1} h_v(x) |_{v=m+1} ]."""
     xs = [X(i) for i in range(1, n + 1)]
-    tvals = [as_poly(T(i)) for i in range(1, l + 1)] if ts is None else [as_poly(t) for t in ts]
-    tinv = [t ** -1 for t in tvals]
-    grid = [[stacked_delta_h(l, n, j, i, m + 1, tinv, xs)
-             for j in range(1, l + 1)] for i in range(1, l + 1)]
-    det = determinant(grid)
-    pref = _ONE
-    for tv in tvals:
-        pref = pref * tv ** m
-    for tv in tvals:
-        for xv in xs:
-            pref = pref * (_ONE - tv * as_poly(xv))
-    return pref * det
+    tvals = _t_values(l, ts)
+    det = _stacked_det([t ** -1 for t in tvals], xs, [m + 1] * l)
+    return _cdf_prefactor(tvals, xs, [m] * len(tvals)) * det
 
 
 def lpp_cdf_schur(l, n, m, ts=None) -> Polynomial:
@@ -459,16 +426,9 @@ def lpp_cdf_schur(l, n, m, ts=None) -> Polynomial:
     from .symfunc import schur
 
     xs = [X(i) for i in range(1, n + 1)]
-    tvals = [as_poly(T(i)) for i in range(1, l + 1)] if ts is None else [as_poly(t) for t in ts]
-    tinv = [t ** -1 for t in tvals]
-    s = schur([m] * l, [as_poly(x) for x in xs] + tinv)
-    pref = _ONE
-    for tv in tvals:
-        pref = pref * tv ** m
-    for tv in tvals:
-        for xv in xs:
-            pref = pref * (_ONE - tv * as_poly(xv))
-    return pref * s
+    tvals = _t_values(l, ts)
+    s = schur([m] * l, [as_poly(x) for x in xs] + [t ** -1 for t in tvals])
+    return _cdf_prefactor(tvals, xs, [m] * len(tvals)) * s
 
 
 def lpp_cdf_schur_measure_sum(l, n, m, ts=None) -> Polynomial:
@@ -477,15 +437,11 @@ def lpp_cdf_schur_measure_sum(l, n, m, ts=None) -> Polynomial:
     from .symfunc import schur
 
     xs = [X(i) for i in range(1, n + 1)]
-    tvals = [as_poly(T(i)) for i in range(1, l + 1)] if ts is None else [as_poly(t) for t in ts]
+    tvals = _t_values(l, ts)
     total = _ZERO
     for la in enumerate_partitions_in_box(l, m):
         total = total + schur(la, xs) * schur(la, tvals)
-    pref = _ONE
-    for tv in tvals:
-        for xv in xs:
-            pref = pref * (_ONE - tv * as_poly(xv))
-    return pref * total
+    return _cdf_prefactor(tvals, xs) * total
 
 
 def verify_summation_identity(l, n, m) -> bool:
@@ -494,14 +450,11 @@ def verify_summation_identity(l, n, m) -> bool:
     from .symfunc import schur
 
     xs = [X(i) for i in range(1, n + 1)]
-    tvals = [as_poly(T(i)) for i in range(1, l + 1)]
-    tinv = [t ** -1 for t in tvals]
+    tvals = _t_values(l)
     lhs = _ZERO
     for la in enumerate_partitions_in_box(l, m):
         lhs = lhs + schur(la, xs) * schur(la, tvals)
-    grid = [[stacked_delta_h(l, n, j, i, m + 1, tinv, xs)
-             for j in range(1, l + 1)] for i in range(1, l + 1)]
-    rhs = determinant(grid)
+    rhs = _stacked_det(_tinv_atoms(l), xs, [m + 1] * l)
     for tv in tvals:
         rhs = rhs * tv ** m
     return lhs == rhs
@@ -516,14 +469,11 @@ def verify_generalized_cauchy_det(l, n, m) -> bool:
 
     xs = [X(i) for i in range(1, n + 1)]
     ys = [Y(i) for i in range(1, n + 1)]
-    tvals = [as_poly(T(i)) for i in range(1, l + 1)]
-    tinv = [t ** -1 for t in tvals]
+    tinv = _tinv_atoms(l)
     lhs = schur([m] * l, [as_poly(a) for a in xs + ys] + tinv)
     rhs = _ZERO
     for mu in enumerate_partitions_in_box(l, m):
-        grid = [[stacked_delta_h(l, n, j, i, m + 1 - part(mu, j), tinv, ys)
-                 for j in range(1, l + 1)] for i in range(1, l + 1)]
-        det = determinant(grid)
+        det = _stacked_det(tinv, ys, [m + 1 - part(mu, j) for j in range(1, l + 1)])
         if det.is_zero():
             continue
         rhs = rhs + g_jt_h(mu, xs, tinv) * det
@@ -584,10 +534,16 @@ def det_delta_h_rows(nu, l, n) -> Polynomial:
 
 
 def det_h_tinv(nu, l, m) -> Polynomial:
-    """det[ h_{m + l - nu_j - i}(t_1^-1 ... t_i^-1) ]."""
+    """det[ h_{m + l - nu_j - i}(t_1^-1 ... t_i^-1) ].
+
+    Row i needs h up to degree m + l - min(nu) - i, which falls with i, so
+    each row's table extends the one above it by t_i^-1.
+    """
     tinv = _tinv_atoms(l)
-    grid = [[hk(m + l - nu[j - 1] - i, tinv[:i]) for j in range(1, l + 1)]
-            for i in range(1, l + 1)]
+    grid, H = [], None
+    for i in range(1, l + 1):
+        H = h_table(max(m + l - min(nu) - i, 0), tinv[i - 1:i], H)
+        grid.append([H[d] if (d := m + l - nu[j - 1] - i) >= 0 else 0 for j in range(1, l + 1)])
     return determinant(grid)
 
 
@@ -624,7 +580,7 @@ def transition_prob_det(la, mu, l, n, version="h") -> Polynomial:
     """prod (1-t_i x_j) t^{la-mu} times the skew determinant at t^-1; equals
     the multi-step transition probability as a polynomial identity."""
     la, mu = partition(la), partition(mu)
-    tvals = [as_poly(T(i)) for i in range(1, l + 1)]
+    tvals = _t_values(l)
     tinv = [t ** -1 for t in tvals]
     if version == "h":
         det = skew_jt_h(la, mu, n, t_atoms=tinv[: max(l - 1, 0)])
@@ -632,11 +588,5 @@ def transition_prob_det(la, mu, l, n, version="h") -> Polynomial:
         det = skew_jt_e(la, mu, n, t_atoms=tinv)
     else:
         raise ValueError(f"unknown version {version!r}")
-    out = det
-    for i in range(1, l + 1):
-        d = part(la, i) - part(mu, i)
-        out = out * tvals[i - 1] ** d
-    for tv in tvals:
-        for i in range(1, n + 1):
-            out = out * (_ONE - tv * as_poly(X(i)))
-    return out
+    exps = [part(la, i) - part(mu, i) for i in range(1, l + 1)]
+    return _cdf_prefactor(tvals, [X(i) for i in range(1, n + 1)], exps) * det

@@ -596,10 +596,6 @@ class Polynomial:
             terms[key] = terms.get(key, 0) + coeff
         return cls(terms)
 
-    @classmethod
-    def from_json(cls, s: str) -> "Polynomial":
-        return cls.from_json_obj(json.loads(s))
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -781,12 +777,19 @@ def hk(k: int, atoms) -> Polynomial:
     return h_table(k, atoms)[k]
 
 
-def e_table(k: int, atoms) -> list:
-    """[e_0, ..., e_k] of the atoms, k >= 0; e_d = 0 for d > len(atoms)."""
-    E = [_P_ONE] + [_P_ZERO] * k
-    for seen, a in enumerate(atoms, 1):
+def e_table(k: int, atoms, start=None) -> list:
+    """[e_0, ..., e_k] of the atoms, k >= 0; e_d = 0 for d > len(atoms).
+
+    ``start``, if given, is a table of series coefficients (to degree k or
+    more), and the result is that series times prod(1 + a u) over the atoms,
+    one factor at a time.
+    """
+    E = list(start[: k + 1]) if start is not None else [_P_ONE] + [_P_ZERO] * k
+    top = k if start is not None else 0
+    for a in atoms:
         a = as_poly(a)
-        for d in range(min(k, seen), 0, -1):
+        top = min(k, top + 1)
+        for d in range(top, 0, -1):
             E[d] = E[d] + a * E[d - 1]
     return E
 
@@ -796,24 +799,6 @@ def ek(k: int, atoms) -> Polynomial:
     if k < 0:
         return _P_ZERO
     return e_table(k, atoms)[k]
-
-
-def gen_series_coeff(i: int, x_atoms, t_atoms) -> Polynomial:
-    """Coefficient of u^i in prod(1 - t u) / prod(1 - x u).
-
-    Equals sum_m e_m(-t) h_{i-m}(x); this is the building block of
-    multi-Schur determinants.
-    """
-    if i < 0:
-        return _P_ZERO
-    t_vals = [as_poly(a) for a in t_atoms]
-    out = _P_ZERO
-    for m in range(0, min(i, len(t_vals)) + 1):
-        em = ek(m, [-a for a in t_vals])
-        if em.is_zero():
-            continue
-        out = out + em * hk(i - m, x_atoms)
-    return out
 
 
 # ---------------------------------------------------------------------------

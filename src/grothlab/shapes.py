@@ -1,4 +1,4 @@
-"""Partitions, skew shapes, 01-sequences, and box operations.
+"""Partitions (plain and skew), 01-sequences, and box operations.
 
 Partitions are canonical tuples of positive ints (weakly decreasing, trailing
 zeros stripped).  Cells use 1-based (row, col) English convention, row 1 at
@@ -30,10 +30,6 @@ def parse_partition(text: str) -> tuple:
     return partition(int(a) for a in text.split(","))
 
 
-def format_partition(la: tuple) -> str:
-    return ",".join(str(a) for a in la) if la else ""
-
-
 def parse_skew(text: str):
     """Parse "5,3,3/2,1" into (outer, inner); bare "5,3,3" has empty inner."""
     outer_text, _, inner_text = text.partition("/")
@@ -44,21 +40,9 @@ def parse_skew(text: str):
     return outer, inner
 
 
-def size(la: tuple) -> int:
-    return sum(la)
-
-
-def length(la: tuple) -> int:
-    return len(la)
-
-
 def part(la: tuple, i: int) -> int:
     """The i-th part (1-based), zero beyond the length."""
     return la[i - 1] if 1 <= i <= len(la) else 0
-
-
-def multiplicity(la: tuple, i: int) -> int:
-    return sum(1 for a in la if a == i)
 
 
 def contains(outer: tuple, inner: tuple) -> bool:
@@ -78,26 +62,6 @@ def conjugate(la: tuple) -> tuple:
     if not la:
         return ()
     return tuple(sum(1 for a in la if a >= c) for c in range(1, la[0] + 1))
-
-
-@dataclass(frozen=True)
-class SkewShape:
-    outer: tuple
-    inner: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "outer", partition(self.outer))
-        object.__setattr__(self, "inner", partition(self.inner))
-        if not contains(self.outer, self.inner):
-            raise ValueError(f"{self.inner} not contained in {self.outer}")
-
-    def cells(self):
-        return cells(self.outer, self.inner)
-
-    def __str__(self):
-        if self.inner:
-            return f"{format_partition(self.outer)}/{format_partition(self.inner)}"
-        return format_partition(self.outer)
 
 
 @dataclass(frozen=True)
@@ -152,33 +116,11 @@ def staircase(l: int) -> tuple:
     return tuple(range(l - 1, -1, -1))
 
 
-def add_staircase(la: tuple, l: int) -> tuple:
-    """(la_1 + l-1, la_2 + l-2, ..., la_l), with la padded/truncated to l."""
-    return tuple(part(la, i) + (l - i) for i in range(1, l + 1))
-
-
-def sub_staircase(la: tuple, l: int) -> tuple:
-    """(la_1 - (l-1), ..., la_l); entries may be negative, returned raw."""
-    return tuple(part(la, i) - (l - i) for i in range(1, l + 1))
-
-
-def grassmannian(la: tuple, n: int, k: int) -> tuple:
-    """Permutation of {1..n+k} with unique descent at k, la_i = w(k-i+1)-(k-i+1).
-
-    Here la fits in a k x n box (at most k parts, each at most n).
-    """
-    b = BoxedPartition(la, k, n)
-    first = [part(b.parts, k - j + 1) + j for j in range(1, k + 1)]
-    rest = sorted(set(range(1, n + k + 1)) - set(first))
-    w = tuple(first + rest)
-    if sorted(w) != list(range(1, n + k + 1)):
-        raise ValueError("not a permutation; invalid Grassmannian data")
-    return w
-
-
 def enumerate_partitions_in_box(n: int, k: int):
     """All binomial(n+k, n) partitions with at most n rows and k columns,
     in graded lexicographic order (by size, then lex descending parts)."""
+    if n < 0 or k < 0:
+        raise ValueError(f"box sides must be nonnegative, got {n} x {k}")
     out = []
 
     def rec(prefix, remaining_rows, maxpart):

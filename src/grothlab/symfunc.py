@@ -34,10 +34,7 @@ from .polynomial import (
     determinant,
     divided_difference_word,
     e_table,
-    ek,
-    gen_series_coeff,
     h_table,
-    hk,
     longest_word,
 )
 from .shapes import (
@@ -51,28 +48,8 @@ from .shapes import (
 from . import tableaux as tb
 
 
-@dataclass(frozen=True)
-class SymSpec:
-    """Variable counts for a computation: x_1..x_n and t_1..t_{t_count}."""
-
-    n: int
-    t_count: int = 0
-    use_gamma: bool = False
-
-    def x_atoms(self):
-        return [X(i) for i in range(1, self.n + 1)]
-
-    def t_atoms(self):
-        return [T(i) for i in range(1, self.t_count + 1)]
-
-
 def _atoms(vals):
     return [as_poly(a) for a in vals]
-
-
-def _x_count(n) -> int:
-    """Route functions accept either a variable count or a SymSpec."""
-    return n.n if isinstance(n, SymSpec) else int(n)
 
 
 def _tableau_sum(vectors, atoms) -> Polynomial:
@@ -133,6 +110,10 @@ def multi_schur(index_seq, diffs) -> Polynomial:
 
     ``diffs[k-1]`` is a pair (x_atoms, t_atoms) for column k; S_i is the
     generating-series coefficient of u^i in prod(1-t u)/prod(1-x u).
+
+    Column k reads its table S_0..S_{I_k + l - k}: h of its x atoms, then one
+    (1 - t u) factor at a time.  When column k's atoms extend those of the
+    column before and it needs no higher degree, its table extends that one.
     """
     index_seq = list(index_seq)
     l = len(index_seq)
@@ -142,14 +123,21 @@ def multi_schur(index_seq, diffs) -> Polynomial:
         return Polynomial.one()
     if l > 8:
         raise ValueError("multi-Schur size capped at 8")
-    grid = []
-    for h in range(1, l + 1):
-        row = []
-        for k in range(1, l + 1):
-            xs, ts = diffs[k - 1]
-            row.append(gen_series_coeff(index_seq[k - 1] + h - k, xs, ts))
-        grid.append(row)
-    return determinant(grid)
+    tables = []
+    done_x, done_t, S = [], [], None
+    for k, (xs, ts) in enumerate(diffs, 1):
+        top = index_seq[k - 1] + l - k
+        if top < 0:
+            return Polynomial.zero()  # column k is all zero
+        xs, ts = _atoms(xs), _atoms(ts)
+        if not (S and len(S) > top and xs[:len(done_x)] == done_x
+                and ts[:len(done_t)] == done_t):
+            done_x, done_t, S = [], [], None
+        S = h_table(top, xs[len(done_x):], S)
+        S = e_table(top, [-t for t in ts[len(done_t):]], S)
+        tables.append(S)
+        done_x, done_t = xs, ts
+    return determinant([list(row) for row in zip(*_h_grid(index_seq, tables))])
 
 
 # ---------------------------------------------------------------------------
@@ -190,11 +178,6 @@ def E_coeff(la, mu, t_atoms=None, negate=False) -> Polynomial:
     return -total if negate and (sum(mu) - sum(la)) % 2 else total
 
 
-def E_coeff_negated(la, mu) -> Polynomial:
-    """E with every t negated, i.e. the coefficient of s_mu in G_la."""
-    return E_coeff(la, mu, negate=True)
-
-
 def p_coeff_det(nu, la, t_atoms) -> Polynomial:
     """det[ h_{nu_i - la_j - i + j}(t_m, ..., t_j) ] over i,j = 1..l(nu)."""
     nu, la = partition(nu), partition(la)
@@ -202,14 +185,11 @@ def p_coeff_det(nu, la, t_atoms) -> Polynomial:
     if l == 0:
         return Polynomial.one()
     ts = _atoms(t_atoms)
-    m = len(ts)
-    grid = []
-    for i in range(1, l + 1):
-        row = []
-        for j in range(1, l + 1):
-            row.append(hk(part(nu, i) - part(la, j) - i + j, ts[j - 1:m]))
-        grid.append(row)
-    return determinant(grid)
+    # column j needs h up to degree nu_1 - la_j + j - 1, of t_j..t_m
+    tables = [h_table(max(part(nu, 1) - part(la, j) + j - 1, 0), ts[j - 1:])
+              for j in range(1, l + 1)]
+    return determinant([[tables[j - 1][d] if (d := part(nu, i) - part(la, j) - i + j) >= 0 else 0
+                         for j in range(1, l + 1)] for i in range(1, l + 1)])
 
 
 def p_coeff_tableaux(nu, la, t_atoms) -> Polynomial:
@@ -247,7 +227,6 @@ def dual_grothendieck(la, n, t_atoms=None, route="jt_h") -> Polynomial:
     t_atoms defaults to (t_1, ..., t_{l-1}); longer lists are fine (the
     extras are unused).
     """
-    n = _x_count(n)
     la = partition(la)
     l = len(la)
     if t_atoms is None:
@@ -275,8 +254,11 @@ def dual_grothendieck(la, n, t_atoms=None, route="jt_h") -> Polynomial:
     if route == "jt_e":
         lac = conjugate(la)
         size = len(lac)
-        grid = [[ek(part(lac, i) + j - i, xs + ts[: max(part(lac, i) - 1, 0)])
-                 for j in range(1, size + 1)] for i in range(1, size + 1)]
+        grid = []
+        for i in range(1, size + 1):
+            E = e_table(part(lac, i) + size - i, xs + ts[: part(lac, i) - 1])
+            grid.append([E[d] if (d := part(lac, i) + j - i) >= 0 else 0
+                         for j in range(1, size + 1)])
         return determinant(grid)
     if route == "multischur":
         diffs = [(xs + ts[: k - 1], []) for k in range(1, l + 1)]
@@ -311,7 +293,6 @@ def _subshapes(la):
 
 def skew_dual_grothendieck(outer, inner, n, t_atoms=None, route="rpp") -> Polynomial:
     """g_{outer/inner}(x_1..x_n; t)."""
-    n = _x_count(n)
     outer, inner = partition(outer), partition(inner)
     if not contains(outer, inner):
         raise ValueError(f"{inner} not contained in {outer}")
@@ -388,7 +369,6 @@ GROTH_ROUTES = ("svt", "schur_expansion", "jacobi_trudi", "divided_diff")
 
 def grothendieck(la, n, t_atoms=None, route="schur_expansion") -> Polynomial:
     """G_la(x_1..x_n; t); t_atoms defaults to (t_1, ..., t_{n-1})."""
-    n = _x_count(n)
     la = partition(la)
     if t_atoms is None:
         t_atoms = [T(i) for i in range(1, n)]
@@ -599,7 +579,7 @@ def verify_duality(la, mu, box) -> IdentityReport:
     for nu in enumerate_partitions_in_box(n, k):
         if not (contains(nu, la) and contains(mu, nu)):
             continue
-        a = E_coeff_negated(la, nu)
+        a = E_coeff(la, nu, negate=True)
         if a.is_zero():
             continue
         b = e_coeff(mu, nu)

@@ -485,15 +485,3 @@ def nilp_is_disjoint(paths) -> bool:
             seen.add(p)
     return True
 
-
-# ---------------------------------------------------------------------------
-# JSON surfaces
-# ---------------------------------------------------------------------------
-
-
-def tableau_to_json(rows):
-    return [list(r) for r in rows]
-
-
-def svt_to_json(rows):
-    return [[list(cell) for cell in row] for row in rows]

@@ -191,6 +191,11 @@ class TestYbe:
     ["verify", "fnr_G", "--shape", "5", "--m", "1", "--k", "2", "--n", "2"],
     ["lpp", "mc", "--shape", "1", "--t", "99999/100000", "--x", "99999/100000",
      "--trials", "10"],
+    *(["verify", "cauchy", flag, "-2"] for flag in ("--n", "--m", "--l")),
+    ["verify", "fnr_G", "--k", "-1"],
+    ["verify", "bounded_cauchy_littlewood", "--degree-cap", "-1"],
+    ["verify", "routes", "--box", "0x0"],
+    ["verify", "duality", "--box=-1x2"],
 ])
 def test_bad_input_exits_2_with_one_line(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -199,6 +204,16 @@ def test_bad_input_exits_2_with_one_line(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, label", [
+    (["verify", "cauchy", "--m", "0", "--l", "0", "--n", "0"], "cauchy m=0 l=0 n=0"),
+    (["verify", "bounded_cauchy_littlewood", "--l", "0", "--n", "0", "--degree-cap", "0"],
+     "bounded_cauchy_littlewood l=0 n=0 degree_cap=0"),
+])
+def test_zero_arguments_are_kept(capsys, argv, label):
+    code, out = run(capsys, *argv)
+    assert code == 0 and out.splitlines() == [f"[PASS] {label}", "1/1 passed"]
 
 
 class TestThreads:

@@ -1,10 +1,12 @@
 from fractions import Fraction
 import hashlib
+import json
 from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from grothlab import diffops, symfunc
 from grothlab.polynomial import (
     BETA,
     GAMMA,
@@ -20,7 +22,6 @@ from grothlab.polynomial import (
     divided_difference_word,
     e_table,
     ek,
-    gen_series_coeff,
     h_table,
     hk,
     longest_word,
@@ -187,11 +188,16 @@ class TestGenerators:
             assert h_table(k, a, start=start) == h_table(k, b + a)
             assert start == kept
 
+    @staticmethod
+    def series(k, xs, ts):
+        """Coefficients of u^0..u^k in prod(1 - t u) / prod(1 - x u)."""
+        return e_table(k, [-P(a) for a in ts], start=h_table(k, xs))
+
     def test_series_coeffs(self):
-        assert gen_series_coeff(0, [X(1)], [T(1)]) == Polynomial.one()
-        assert gen_series_coeff(1, [X(1), X(2)], [T(1)]) == hk(1, [X(1), X(2)]) - ek(1, [T(1)])
+        assert self.series(0, [X(1)], [T(1)]) == [Polynomial.one()]
+        assert self.series(1, [X(1), X(2)], [T(1)])[1] == hk(1, [X(1), X(2)]) - ek(1, [T(1)])
         # frozen from expanding (1 - t1 u) / (1 - x1 u) to order u^2
-        assert gen_series_coeff(2, [X(1)], [T(1)]) == x1 ** 2 - t1 * x1
+        assert self.series(2, [X(1)], [T(1)])[2] == x1 ** 2 - t1 * x1
 
     @given(st.integers(min_value=0, max_value=6))
     @settings(max_examples=7, deadline=None)
@@ -200,7 +206,7 @@ class TestGenerators:
         total = Polynomial.zero()
         for m in range(i + 1):
             total = total + ek(m, [-P(a) for a in ts]) * hk(i - m, xs)
-        assert gen_series_coeff(i, xs, ts) == total
+        assert self.series(i, xs, ts)[i] == total
 
 
 class TestDeterminant:
@@ -316,7 +322,7 @@ class TestDividedDifferences:
 class TestSerialization:
     def test_json_roundtrip(self):
         p = Fraction(3, 2) * x1 ** 2 * P(T(1)) ** -1 - x2 + 7
-        assert Polynomial.from_json(p.to_json()) == p
+        assert Polynomial.from_json_obj(json.loads(p.to_json())) == p
 
     def test_json_sorted_deterministic(self):
         p = x1 + x2 + t1
@@ -558,3 +564,43 @@ class TestPinnedOutputBytes:
 
         got = grothendieck((3, 2, 1), 4, route="jacobi_trudi").to_json()
         assert _sha(got) == "f97589af9ab08774d57f1ac9223c2ec2c92e4d5929dda99bb33e34196d696f8d"
+
+    # grids built from per-column or per-row tables, pinned at the per-entry
+    # grids they replaced
+    GRID_ROUTES = {
+        "multi_schur": lambda: symfunc.multi_schur(
+            [3, 2, 2], [([X(1), X(2)], [T(1)]), ([X(1), X(2), X(3)], [T(1), T(2)]),
+                        ([X(2), Y(1)], [T(3)])]),
+        "multi_schur_tinv": lambda: symfunc.multi_schur(
+            [4, 3, 2], [([X(1), X(2), X(3)], []), ([X(1), X(2), X(3)], [P(T(1)) ** -1]),
+                        ([X(1), X(2)], [P(T(1)) ** -1, P(T(2)) ** -1])]),
+        "grothendieck_multischur": lambda: symfunc.grothendieck_multischur((3, 2, 1), 4),
+        "g_multischur": lambda: symfunc.dual_grothendieck((3, 3, 2, 1), 4, route="multischur"),
+        "g_jt_e": lambda: symfunc.dual_grothendieck((3, 3, 2, 1), 4, route="jt_e"),
+        "p_coeff_det": lambda: symfunc.p_coeff_det((3, 3, 3), (2, 1), [T(1), T(2), T(3)]),
+        "p_coeff_det_skew": lambda: symfunc.p_coeff_det((4, 3, 1), (1,), [T(i) for i in range(1, 5)]),
+        "det_h_tinv": lambda: diffops.det_h_tinv((4, 2, 1), 3, 3),
+        "det_h_tinv_unsorted": lambda: diffops.det_h_tinv((2, 5, 0), 3, 4),
+        "lpp_cdf_det": lambda: diffops.lpp_cdf_det(3, 3, 3),
+        "transition_h": lambda: diffops.transition_prob_det((2, 1), (1,), 2, 2),
+        "transition_e": lambda: diffops.transition_prob_det((2, 1), (1,), 2, 2, version="e"),
+    }
+    GRID_DIGESTS = {
+        "multi_schur": "e1c9e0df8368347105272ac9c81d2c41a5b2b73622d6741a3dc0853f42d7adcb",
+        "multi_schur_tinv": "13e6398545afc53d2ac8e5e193caabd3ac270e041267400f6f2c86b72337867f",
+        "grothendieck_multischur":
+            "f97589af9ab08774d57f1ac9223c2ec2c92e4d5929dda99bb33e34196d696f8d",
+        "g_multischur": "e3ae56fd45a7e1e7c0210a7af94055569e9413eea9ef987544bbbb81d24540f5",
+        "g_jt_e": "e3ae56fd45a7e1e7c0210a7af94055569e9413eea9ef987544bbbb81d24540f5",
+        "p_coeff_det": "f5f396033b8120c3f0827c275b513d7aa4d465c46ebc42102bfd49283513c928",
+        "p_coeff_det_skew": "ae10a298fdcc8083468986338daeed0fe3ff02d4871f183a9fdc9f66f2d919fe",
+        "det_h_tinv": "d78eaa5d78eb5921176eb759d30f14e6049e04afd4f0500db8fc21b5e4aa0257",
+        "det_h_tinv_unsorted": "78494665b77b5f8250dc642b3238759757733f841a8a321cdba93f8e89ba7467",
+        "lpp_cdf_det": "749301656dd7d2dc5580d109d56a728463bd19c9b2cae45f06758e12b4a22710",
+        "transition_h": "01beddff7a0848ee1d349d0f796277f73a274b125b27e3d6a8d98ec27f6d8a8d",
+        "transition_e": "01beddff7a0848ee1d349d0f796277f73a274b125b27e3d6a8d98ec27f6d8a8d",
+    }
+
+    @pytest.mark.parametrize("name", sorted(GRID_DIGESTS))
+    def test_grid_route_bytes(self, name):
+        assert _sha(self.GRID_ROUTES[name]().to_json()) == self.GRID_DIGESTS[name]

@@ -1,4 +1,5 @@
-"""The packed determinant and packed products against sympy.
+"""The packed determinant, products, sums, substitution and exact division
+against sympy.
 
 The oracle never uses grothlab arithmetic.  It works in sympy's sparse
 polynomial ring over QQ: a Laurent polynomial is shifted to nonnegative
@@ -30,9 +31,17 @@ coeffs = st.one_of(
     st.integers(-5, 5),
     st.fractions(min_value=-5, max_value=5, max_denominator=7),
 )
-monomials = st.lists(st.tuples(st.sampled_from(VARS), exponents), max_size=3)
-entries = st.lists(st.tuples(monomials, coeffs), max_size=5).map(
-    lambda terms: Polynomial.sum(Polynomial.monomial(m, c) for m, c in terms))
+
+
+def polys(exps):
+    """Sums of up to 5 terms over VARS with exponents drawn from exps."""
+    monomials = st.lists(st.tuples(st.sampled_from(VARS), exps), max_size=3)
+    return st.lists(st.tuples(monomials, coeffs), max_size=5).map(
+        lambda terms: Polynomial.sum(Polynomial.monomial(m, c) for m, c in terms))
+
+
+entries = polys(exponents)
+small_entries = polys(st.integers(-4, 4))
 
 
 @st.composite
@@ -157,8 +166,7 @@ def packed_factor(rng: random.Random) -> Polynomial:
         for vec in vecs)
 
 
-def ring_product(a: Polynomial, b: Polynomial) -> dict:
-    da, db = exponent_dict(a), exponent_dict(b)
+def dict_product(da: dict, db: dict) -> dict:
     low_a, low_b = lowest([da]), lowest([db])
     return from_ring(to_ring(da, low_a) * to_ring(db, low_b),
                      [s + t for s, t in zip(low_a, low_b)])
@@ -171,4 +179,104 @@ def test_packed_product_matches_sympy_ring(seed):
     rng = random.Random(seed)
     a, b = packed_factor(rng), packed_factor(rng)
     assert len(a) * len(b) > 512  # the packed path of Polynomial.__mul__
-    assert exponent_dict(a * b) == ring_product(a, b)
+    assert exponent_dict(a * b) == dict_product(exponent_dict(a), exponent_dict(b))
+
+
+def dict_sum(da: dict, db: dict, sign: int = 1) -> dict:
+    """da + sign * db, both shifted by one common monomial."""
+    low = lowest([da, db])
+    return from_ring(to_ring(da, low) + sign * to_ring(db, low), low)
+
+
+def dict_power(d: dict, e: int) -> dict:
+    """d ** e; a negative power needs a single nonzero term."""
+    if len(d) == 1:
+        ((vec, c),) = d.items()
+        return {tuple(x * e for x in vec): c ** e}
+    if e < 0:
+        raise ZeroDivisionError if not d else ValueError
+    low = lowest([d])
+    return from_ring(to_ring(d, low) ** e, [s * e for s in low])
+
+
+def substituted(p: Polynomial, bindings: dict) -> dict:
+    """p with VARS[i] replaced by bindings[i], term by term in RING."""
+    values = {VARS.index(v): exponent_dict(as_poly(val)) for v, val in bindings.items()}
+    total: dict = {}
+    for vec, c in exponent_dict(p).items():
+        term = {tuple(0 if i in values else e for i, e in enumerate(vec)): c}
+        for i, val in values.items():
+            if vec[i]:
+                term = dict_product(term, dict_power(val, vec[i]))
+        total = dict_sum(total, term)
+    return total
+
+
+@given(entries, entries, st.sampled_from([0, 1, -1]))
+@example(Polynomial.zero(), Polynomial.zero(), 0)
+@settings(max_examples=40, deadline=None)
+def test_add_sub_match_sympy_ring(a, b, mix):
+    # mix = -1 makes a + b cancel a's terms, mix = 1 makes a - b cancel them
+    b = b + a * mix
+    da, db = exponent_dict(a), exponent_dict(b)
+    assert exponent_dict(a + b) == dict_sum(da, db)
+    assert exponent_dict(a - b) == dict_sum(da, db, -1)
+
+
+def check_substitute(p, bindings):
+    try:
+        want = substituted(p, bindings)
+    except (ZeroDivisionError, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            p.substitute(bindings)
+    else:
+        assert exponent_dict(p.substitute(bindings)) == want
+
+
+invertibles = st.tuples(st.lists(st.tuples(st.sampled_from(VARS), st.integers(-3, 3)), max_size=2),
+                        st.sampled_from([1, -1])).map(lambda mc: Polynomial.monomial(*mc))
+
+
+@given(entries, st.dictionaries(st.sampled_from(VARS), invertibles, max_size=3))
+@settings(max_examples=40, deadline=None)
+def test_substitute_monomials_matches_sympy_ring(p, bindings):
+    # exponents up to 10**5: only single-term values can be raised to them,
+    # and only a coefficient of +-1 keeps their powers printable
+    check_substitute(p, bindings)
+
+
+@given(small_entries, st.dictionaries(st.sampled_from(VARS), st.one_of(coeffs, small_entries),
+                                      max_size=3))
+@example(_x(-2) + 1, {X(1): Polynomial.zero()})
+@example(_x(-1) * _t(2), {X(1): _x(1) + _t(1)})
+@example(_x(2) - _t(1), {X(1): _t(1), T(1): _x(1)})
+@settings(max_examples=40, deadline=None)
+def test_substitute_polynomials_matches_sympy_ring(p, bindings):
+    # a negative power of a zero or of a many-term value must raise
+    check_substitute(p, bindings)
+
+
+@given(small_entries, small_entries, st.lists(exponents, min_size=2, max_size=2),
+       st.permutations(VARS), st.booleans())
+@example(Polynomial.zero(), Polynomial.zero(), [0, 0], VARS, True)
+@settings(max_examples=40, deadline=None)
+def test_divexact_diff_matches_sympy_ring(q, noise, far, order, exact):
+    # p = q * (a - b), times a monomial in the other two variables with
+    # exponents up to 10**5, plus noise when not exact
+    a, b = order[:2]
+    ia, ib = VARS.index(a), VARS.index(b)
+    others = [i for i in range(len(VARS)) if i not in (ia, ib)]
+    qd = {tuple(e + far[others.index(i)] if i in others else e for i, e in enumerate(vec)): c
+          for vec, c in exponent_dict(q).items()}
+    nd = {} if exact else exponent_dict(noise)
+    low = lowest([qd, nd])
+    diff = RING.gens[ia] - RING.gens[ib]
+    ring_p = to_ring(qd, low) * diff + to_ring(nd, low)
+    p = Polynomial.from_exponent_counts(from_ring(ring_p, low), VARS)
+    quotients, rem = ring_p.div([diff])  # no quotients when ring_p is 0
+    quo = quotients[0] if quotients else RING.zero
+    if rem:
+        with pytest.raises(ArithmeticError):
+            p.divexact_diff(a, b)
+    else:
+        assert exponent_dict(p.divexact_diff(a, b)) == from_ring(quo, low)

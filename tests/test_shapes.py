@@ -2,21 +2,16 @@ import pytest
 
 from grothlab.shapes import (
     BoxedPartition,
-    SkewShape,
-    add_staircase,
     complement,
     conjugate,
     contains,
     dual,
     enumerate_partitions_in_box,
     from_01,
-    grassmannian,
-    multiplicity,
     parse_partition,
     parse_skew,
     partition,
     staircase,
-    sub_staircase,
     subpartitions,
     to_01,
 )
@@ -72,18 +67,15 @@ class TestBasics:
     def test_trailing_zeros(self):
         assert partition((3, 2, 0, 0)) == (3, 2)
 
-    def test_multiplicity_sums_to_length(self):
-        for la in enumerate_partitions_in_box(3, 4):
-            assert sum(multiplicity(la, i) for i in set(la)) == len(la)
-
     def test_staircases(self):
         assert staircase(3) == (2, 1, 0)
-        assert add_staircase((2, 1), 2) == (3, 1)
-        assert sub_staircase((8, 6, 2), 3) == (6, 5, 2)
 
     def test_box_counts(self):
         assert len(enumerate_partitions_in_box(2, 2)) == 6
         assert len(enumerate_partitions_in_box(3, 3)) == 20
+        for n, k in [(-1, 2), (2, -1)]:
+            with pytest.raises(ValueError):
+                enumerate_partitions_in_box(n, k)
 
     def test_graded_lex_order(self):
         out = enumerate_partitions_in_box(2, 2)
@@ -93,24 +85,8 @@ class TestBasics:
     def test_boxed_validation(self):
         with pytest.raises(ValueError):
             BoxedPartition((3,), 2, 2)
-        with pytest.raises(ValueError):
-            SkewShape((1,), (2,))
 
     def test_subpartitions(self):
         subs = subpartitions((2, 1))
         assert set(subs) == {(), (1,), (2,), (1, 1), (2, 1)}
 
-
-class TestGrassmannian:
-    def test_identity(self):
-        assert grassmannian((), 3, 2) == (1, 2, 3, 4, 5)
-
-    def test_descent_and_parts(self):
-        n, k = 3, 2  # la inside a k x n box
-        for la in enumerate_partitions_in_box(k, n):
-            w = grassmannian(la, n, k)
-            descents = [i for i in range(1, len(w)) if w[i - 1] > w[i]]
-            if la:
-                assert descents == [k]
-            for i in range(1, len(la) + 1):
-                assert la[i - 1] == w[k - i + 1 - 1] - (k - i + 1)

@@ -6,7 +6,6 @@ from grothlab.polynomial import BETA, GAMMA, Polynomial, T, X, Y, as_poly
 from grothlab.shapes import enumerate_partitions_in_box, subpartitions
 from grothlab.symfunc import (
     E_coeff,
-    E_coeff_negated,
     G_ROUTES,
     GROTH_ROUTES,
     dual_grothendieck,
@@ -100,7 +99,7 @@ class TestCoefficients:
     def test_E_from_G21(self):
         # coefficient of s_22 in G_21 is -t1, so E with positive t is t1
         assert E_coeff((2, 1), (2, 2)) == t1
-        assert E_coeff_negated((2, 1), (2, 2)) == -t1
+        assert E_coeff((2, 1), (2, 2), negate=True) == -t1
 
     def test_p_trivial(self):
         assert p_coeff((2, 1), (2, 1), [T(1), T(2)]) == Polynomial.one()
@@ -390,12 +389,3 @@ class TestTableauSumsWithAtoms:
         assert grothendieck(la, n, ts, route="svt") == want
         assert grothendieck(la, n, ts, route="schur_expansion") == want
 
-
-class TestSymSpec:
-    def test_spec_object_accepted(self):
-        from grothlab.symfunc import SymSpec
-
-        spec = SymSpec(n=2, t_count=1)
-        assert dual_grothendieck((2, 1), spec) == dual_grothendieck((2, 1), 2)
-        assert grothendieck((2,), SymSpec(n=2, t_count=1)) == grothendieck((2,), 2)
-        assert spec.x_atoms() == [X(1), X(2)] and spec.t_atoms() == [T(1)]

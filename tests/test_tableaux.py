@@ -15,8 +15,6 @@ from grothlab.tableaux import (
     ssyt_to_gt,
     ssyt_to_nilp,
     svt_exponents,
-    svt_to_json,
-    tableau_to_json,
     validate_gt,
     weight_rpp,
     weight_ssyt,
@@ -62,10 +60,6 @@ class TestEnumeration:
         inc = set(enumerate_increasing_elegant((3, 2), (3,)))
         all_ = set(enumerate_elegant((3, 2), (3,)))
         assert inc <= all_
-
-    def test_json_shapes(self):
-        assert tableau_to_json(((1, 2), (2,))) == [[1, 2], [2]]
-        assert svt_to_json((((1,), (1, 2)),)) == [[[1], [1, 2]]]
 
 
 def _rpp_vectors_by_sets(rows, outer, inner, n):
