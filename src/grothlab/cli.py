@@ -13,7 +13,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .polynomial import X, Z, as_poly
+from .polynomial import X, Z, as_poly, int_text
 from .shapes import parse_partition, subpartitions
 from . import symfunc
 from . import vertex
@@ -217,12 +217,12 @@ def cmd_lpp(args):
     payload = {"command": f"lpp {args.mode}", "shape": list(shape),
                "t": [str(v) for v in params.t], "x": [str(v) for v in params.x]}
     exact = lpp_mod.exact_prob(shape, params)
-    payload["exact"] = f"{exact.numerator}/{exact.denominator}"
+    payload["exact"] = f"{int_text(exact.numerator)}/{int_text(exact.denominator)}"
     ok = True
     if args.mode == "exact":
         if args.bruteforce:
             bf = lpp_mod.exact_prob_bruteforce(shape, params)
-            payload["bruteforce"] = f"{bf.numerator}/{bf.denominator}"
+            payload["bruteforce"] = f"{int_text(bf.numerator)}/{int_text(bf.denominator)}"
             ok = bf == exact
     elif args.mode == "mc":
         try:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .polynomial import Polynomial, T, X, as_poly, determinant, e_table, ek, h_table, hk
-from .shapes import conjugate, part, partition
+from .shapes import conjugate, contains, part, partition
 
 _ONE = Polynomial.one()
 _ZERO = Polynomial.zero()
@@ -245,7 +245,12 @@ def one_variable_det(la, mu, l, x_atom, ts) -> Polynomial:
 
 
 def one_variable_factorized(la, mu, l, x_atom, ts) -> Polynomial:
-    """prod_j t_j^{max(mu_j, la_{j+1}) - mu_j} v(la_j - max(mu_j, la_{j+1}))."""
+    """prod_j t_j^{max(mu_j, la_{j+1}) - mu_j} v(la_j - max(mu_j, la_{j+1})):
+    the factorized single-variable g_{la/mu}(x; t), 0 unless mu is contained
+    in la.  t_l never enters, so ts may hold l - 1 atoms."""
+    la, mu = partition(la), partition(mu)
+    if not contains(la, mu):
+        return _ZERO
     x = as_poly(x_atom)
     out = _ONE
     for j in range(1, l + 1):
@@ -256,7 +261,7 @@ def one_variable_factorized(la, mu, l, x_atom, ts) -> Polynomial:
         if k:
             out = out * x ** k
         d = m - part(mu, j)
-        if d:
+        if d and j < l:
             out = out * as_poly(ts[j - 1]) ** d
     return out
 

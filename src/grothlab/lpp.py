@@ -113,14 +113,26 @@ def exact_prob_bruteforce(la, params: GeomParams) -> Fraction:
     return total
 
 
-def _numeric_h(k, vals, start=None):
-    """[h_0, ..., h_k] of a list of Fractions, k >= 0.  ``start``, if
-    given, is the table (to degree k or more) of values already included."""
-    H = start[: k + 1] if start else [Fraction(1)] + [Fraction(0)] * k
-    for a in vals:
-        for d in range(1, k + 1):
-            H[d] += a * H[d - 1]
-    return H
+@lru_cache(maxsize=8)
+def _h_rows(xs: tuple, ts: tuple, degree: int) -> tuple:
+    """Row i (i = 1..len(ts)+1) is (h_0, ..., h_degree) of (xs, ts[:i-1]);
+    each row extends the one above by one t."""
+    H = [Fraction(1)] + [Fraction(0)] * degree
+    rows = []
+    for vals in (xs, *((a,) for a in ts)):
+        for a in vals:
+            for d in range(1, degree + 1):
+                H[d] += a * H[d - 1]
+        rows.append(tuple(H))
+    return tuple(rows)
+
+
+def _table_degree(k: int) -> int:
+    """The degree the cached h-tables are built to for a need of k: k
+    rounded up to 2^j - 1, at least 7.  h_d for d <= k does not depend on
+    the degree a table is built to, so every shape of a box sum whose
+    la_1 + l - 1 falls in one such range reads the same tables."""
+    return max(7, (1 << k.bit_length()) - 1)
 
 
 def _numeric_det(grid):
@@ -161,44 +173,51 @@ def _numeric_det(grid):
 def g_numeric(la, x_vals, t_vals) -> Fraction:
     """g_la evaluated at rational points via the h-determinant.
 
-    Row i of the grid needs h of (x, t_1..t_{i-1}) up to degree
-    la_i + l - i, which falls with i, so each row's table extends the one
-    above it by t_{i-1}.
+    Row i of the grid reads h of (x, t_1..t_{i-1}), up to degree
+    la_i + l - i, from the cached tables of ``_h_rows``.
     """
     la = partition(la)
     l = len(la)
     if len(t_vals) < l - 1:
         raise ValueError(f"need at least {l - 1} t atoms for shape {la}")
-    tables = []
-    H = None
-    for i in range(1, l + 1):
-        H = _numeric_h(part(la, i) + l - i, t_vals[i - 2: i - 1] if H else x_vals, H)
-        tables.append(H)
-    return _numeric_det(_h_grid(la, tables))
+    if not l:
+        return Fraction(1)
+    rows = _h_rows(tuple(x_vals), tuple(t_vals), _table_degree(la[0] + l - 1))
+    return _numeric_det(_h_grid(la, rows))
 
 
 def schur_numeric(la, vals, inner=()) -> Fraction:
     la, inner = partition(la), partition(inner)
     l = len(la)
-    H = _numeric_h(part(la, 1) + l - 1, vals) if l else []
+    if not l:
+        return Fraction(1)
+    (H,) = _h_rows(tuple(vals), (), _table_degree(la[0] + l - 1))
     return _numeric_det(_h_grid(la, [H] * l, inner))
+
+
+@lru_cache(maxsize=8)
+def _law_constants(params: GeomParams) -> tuple:
+    """The prefactor prod (1 - t_i x_j) and (t_1^-1, ..., t_{l-1}^-1) of
+    one parameter set."""
+    pref = Fraction(1)
+    for tv in params.t:
+        for xv in params.x:
+            pref *= 1 - tv * xv
+    return pref, tuple(1 / tv for tv in params.t[:-1])
 
 
 def exact_prob(la, params: GeomParams) -> Fraction:
     """P(G(n) = la) = prod (1 - t_i x_j) * prod_i t_i^{la_i} * g_la(x; t^-1)
     with the skew t-parameters reversed to match the matrix rows."""
     la = partition(la)
-    l, n = params.l, params.n
-    if len(la) > l:
+    if len(la) > params.l:
         return Fraction(0)
-    pref = Fraction(1)
-    for tv in params.t:
-        for xv in params.x:
-            pref *= 1 - tv * xv
-    for i in range(1, l + 1):
-        pref *= params.t[i - 1] ** part(la, i)
-    tinv = [1 / params.t[i - 1] for i in range(1, l)]
-    return pref * g_numeric(la, params.x, tinv)
+    pref, tinv = _law_constants(params)
+    num = den = 1  # prod_i t_i^{la_i}, reduced once
+    for tv, a in zip(params.t, la):
+        num *= tv.numerator ** a
+        den *= tv.denominator ** a
+    return pref * Fraction(num, den) * g_numeric(la, params.x, tinv)
 
 
 def transition_prob(la, mu, params: GeomParams, column: int | None = None) -> Fraction:
@@ -253,10 +272,7 @@ def _interpolating_shapes(lo, hi):
 def schur_measure(la, params: GeomParams) -> Fraction:
     """P_Schur(la) = prod (1 - t_i x_j) s_la(t) s_la(x)."""
     la = partition(la)
-    pref = Fraction(1)
-    for tv in params.t:
-        for xv in params.x:
-            pref *= 1 - tv * xv
+    pref = _law_constants(params)[0]
     return pref * schur_numeric(la, params.t) * schur_numeric(la, params.x)
 
 
@@ -300,18 +316,23 @@ def lpp_cdf_value_schur(m, params: GeomParams) -> Fraction:
 
 
 class SplitMix64:
-    """Deterministic 64-bit generator; uniform() has 53 random bits."""
+    """Deterministic 64-bit generator (Steele, Lea and Flood, OOPSLA 2014);
+    uniform() has 53 random bits.  ``monte_carlo`` runs the same step
+    inline and reads the same constants."""
 
     MASK = (1 << 64) - 1
+    GAMMA = 0x9E3779B97F4A7C15  # the golden-ratio increment
+    MIX1 = 0xBF58476D1CE4E5B9
+    MIX2 = 0x94D049BB133111EB
 
     def __init__(self, seed: int, stream: int = 0):
-        self.state = (seed + (stream << 32) + 0x9E3779B97F4A7C15) & self.MASK
+        self.state = (seed + (stream << 32) + self.GAMMA) & self.MASK
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & self.MASK
+        self.state = (self.state + self.GAMMA) & self.MASK
         z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self.MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self.MASK
+        z = ((z ^ (z >> 30)) * self.MIX1) & self.MASK
+        z = ((z ^ (z >> 27)) * self.MIX2) & self.MASK
         return z ^ (z >> 31)
 
     def uniform(self) -> float:
@@ -392,7 +413,11 @@ def monte_carlo(la, params: GeomParams, trials: int, seed: int,
     target = [part(la, l + 1 - i) for i in range(1, l + 1)]
     tables = _cell_tables(params)
     rows = [tables[i * n:(i + 1) * n] for i in range(l)]
-    uniform = SplitMix64(seed, stream).uniform
+    # SplitMix64.uniform, inlined: the generator state is a local int
+    mask, gamma = SplitMix64.MASK, SplitMix64.GAMMA
+    mix1, mix2 = SplitMix64.MIX1, SplitMix64.MIX2
+    scale = float(1 << 53)
+    state = SplitMix64(seed, stream).state
     hits = 0
     for _ in range(trials):
         below = [0] * n  # G(i-1, 1..n)
@@ -400,7 +425,10 @@ def monte_carlo(la, params: GeomParams, trials: int, seed: int,
         for row in rows:
             g = 0
             for j, table in enumerate(row):
-                k = bisect_right(table, uniform())
+                state = (state + gamma) & mask
+                z = ((state ^ (state >> 30)) * mix1) & mask
+                z = ((z ^ (z >> 27)) * mix2) & mask
+                k = bisect_right(table, ((z ^ (z >> 31)) >> 11) / scale)
                 if k == len(table):
                     raise RuntimeError(_RUNAWAY)
                 b = below[j]

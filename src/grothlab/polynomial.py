@@ -199,6 +199,35 @@ def _plain_code(p) -> int | None:
     return None
 
 
+# Decimal text is made and read in pieces of at most 600 digits, below 640,
+# the least limit sys.set_int_max_str_digits accepts, so integers of any
+# length convert whatever the interpreter's limit is.
+_PIECE = 600
+
+
+def int_text(n: int) -> str:
+    """The decimal text of an int of any length."""
+    if n.bit_length() < 1990:  # 2^1990 < 10^600
+        return str(n)
+    if n < 0:
+        return "-" + int_text(-n)
+    k = n.bit_length() * 3 // 20  # about half the digits
+    hi, lo = divmod(n, 10 ** k)
+    return int_text(hi) + int_text(lo).zfill(k)
+
+
+def text_int(s: str) -> int:
+    """The int of a decimal text of any length; the inverse of int_text."""
+    if len(s) <= _PIECE:
+        return int(s)
+    digits = s[1:] if s[0] in "+-" else s
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal integer: {s[:20]}... ({len(s)} characters)")
+    k = len(digits) // 2
+    n = text_int(digits[:-k]) * 10 ** k + text_int(digits[-k:])
+    return -n if s[0] == "-" else n
+
+
 def _norm_coeff(c):
     if type(c) is int:
         return c
@@ -466,7 +495,9 @@ class Polynomial:
         """Simultaneously substitute variables by polynomials or rationals.
 
         A bound value raised to a negative exponent must be invertible: a
-        nonzero rational or a single-term (monomial) polynomial.
+        nonzero rational or a single-term (monomial) polynomial.  A zero
+        raised to a negative exponent anywhere raises ZeroDivisionError,
+        before any other value raises ValueError.
         """
         by_code = {}
         for v, val in bindings.items():
@@ -475,22 +506,22 @@ class Polynomial:
             by_code[v.code] = val
         if not by_code:
             return self
+        zeros = {code for code, val in by_code.items() if val.is_zero()}
+        if zeros:
+            for mono in self.terms:
+                for code, e in mono:
+                    if e < 0 and code in zeros:
+                        raise ZeroDivisionError(
+                            f"negative exponent of a value bound to 0 ({_decode(code)})"
+                        )
         power_cache: dict = {}
 
         def powered(code: int, e: int) -> Polynomial:
             key = (code, e)
             got = power_cache.get(key)
             if got is None:
-                base = by_code[code]
-                if e >= 0:
-                    got = base ** e
-                else:
-                    if base.is_zero():
-                        raise ZeroDivisionError(
-                            f"negative exponent of a value bound to 0 ({_decode(code)})"
-                        )
-                    got = base ** e  # Polynomial.__pow__ validates invertibility
-                power_cache[key] = got
+                # Polynomial.__pow__ checks that a negative power is invertible
+                got = power_cache[key] = by_code[code] ** e
             return got
 
         terms = []
@@ -578,7 +609,7 @@ class Polynomial:
         names = {c: str(_decode(c)) for c in {c for m in self.terms for c, _ in m}}
         out = []
         for mono, coeff in self.sorted_terms():
-            coeff = f"{coeff}/1" if type(coeff) is int else f"{coeff.numerator}/{coeff.denominator}"
+            coeff = f"{int_text(coeff.numerator)}/{int_text(coeff.denominator)}"
             out.append({"coeff": coeff, "exps": {names[c]: e for c, e in mono}})
         return out
 
@@ -590,7 +621,7 @@ class Polynomial:
         terms = {}
         for entry in obj:
             num, _, den = entry["coeff"].partition("/")
-            coeff = Fraction(int(num), int(den) if den else 1)
+            coeff = Fraction(text_int(num), text_int(den) if den else 1)
             pairs = [(var_from_name(name), e) for name, e in entry["exps"].items()]
             key = tuple(sorted(((v.code, e) for v, e in pairs if e), key=lambda p: p[0]))
             terms[key] = terms.get(key, 0) + coeff
@@ -608,12 +639,14 @@ class Polynomial:
                 factors.append(name if e == 1 else f"{name}^{e}")
             body = "*".join(factors)
             mag = abs(f)
+            num = int_text(mag.numerator)
+            mag_text = num if mag.denominator == 1 else f"{num}/{int_text(mag.denominator)}"
             if not factors:
-                text = str(mag)
+                text = mag_text
             elif mag == 1:
                 text = body
             else:
-                text = f"{mag}*{body}"
+                text = f"{mag_text}*{body}"
             if not parts:
                 parts.append(text if f >= 0 else f"-{text}")
             else:

@@ -22,6 +22,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
+from .diffops import one_variable_factorized
 from .polynomial import (
     _FAM_SHIFT,
     _h_grid,
@@ -312,7 +313,7 @@ def skew_dual_grothendieck(outer, inner, n, t_atoms=None, route="rpp") -> Polyno
             nxt: dict = {}
             for mid, w in states.items():
                 for nu in _between(mid, outer):
-                    f = one_variable_skew_g(nu, mid, xs[i], ts)
+                    f = one_variable_factorized(nu, mid, len(nu), xs[i], ts)
                     if f.is_zero():
                         continue
                     nxt[nu] = nxt.get(nu, Polynomial.zero()) + w * f
@@ -336,28 +337,6 @@ def _between(lo, hi):
             yield from rec(i + 1, prefix + [v])
 
     yield from rec(1, [])
-
-
-def one_variable_skew_g(la, mu, x_atom, ts) -> Polynomial:
-    """Factorized g_{la/mu}(x; t): the single-entry generating weight
-    prod_j t_j^{max(mu_j, la_{j+1}) - mu_j} x^{la_j - max(mu_j, la_{j+1})}
-    with a Heaviside cutoff."""
-    la, mu = partition(la), partition(mu)
-    l = len(la)
-    x = as_poly(x_atom)
-    out = Polynomial.one()
-    for j in range(1, l + 1):
-        m = max(part(mu, j), part(la, j + 1))
-        if part(la, j) - m < 0:
-            return Polynomial.zero()
-        if j <= l - 1 and m - part(mu, j):
-            out = out * ts[j - 1] ** (m - part(mu, j))
-        if part(la, j) - m:
-            out = out * x ** (part(la, j) - m)
-    # rows of mu strictly longer than la would make the shape invalid
-    if not contains(la, mu):
-        return Polynomial.zero()
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 
 from grothlab import symfunc
 from grothlab.cli import main
+from grothlab.polynomial import text_int
 from grothlab.shapes import subpartitions
 
 
@@ -166,6 +167,14 @@ class TestLpp:
         with pytest.raises(SystemExit) as exc:
             main(["lpp", "exact", "--shape", "1", "--t", "3/2", "--x", "1/3"])
         assert exc.value.code == 2
+
+    def test_exact_past_the_int_digit_limit(self, capsys):
+        # P(G = 4000) = (1 - q) q^4000 with q = 1/18: a 5,023-digit denominator
+        code, out = run(capsys, "lpp", "exact", "--shape", "4000", "--t", "1/2",
+                        "--x", "1/9")
+        assert code == 0
+        num, den = json.loads(out)["exact"].split("/")
+        assert (text_int(num), text_int(den)) == (17, 18 ** 4001)
 
 
 class TestYbe:

@@ -122,6 +122,11 @@ class TestOneVariableLemmas:
         assert det == fac
         assert fac == x1 ** 3  # v(4 - max(2,1)) * v(1 - 0), no t factor
 
+    def test_factorized_is_zero_unless_contained(self):
+        # mu has more rows than la, yet no factor of the product has a
+        # negative exponent, so only the containment check gives 0
+        assert one_variable_factorized((2,), (1, 1), 1, X(1), []) == Polynomial.zero()
+
 
 class TestSkewJacobiTrudi:
     def test_straight_shape_matches_jt(self):

@@ -27,6 +27,8 @@ from grothlab.lpp import (
     transition_prob,
     transition_prob_multistep,
     verify_schur_measure_cdf,
+    _h_rows,
+    _law_constants,
     _numeric_det,
     g_numeric,
 )
@@ -94,6 +96,20 @@ class TestExactProbability:
                       for la in enumerate_partitions_in_box(2, m))
             assert prev < cdf < 1
             prev = cdf
+
+    def test_interleaved_parameter_sets_past_the_caches(self):
+        # one shape at a time over more parameter sets than the caches hold,
+        # so their entries are evicted and rebuilt between calls
+        rng = random.Random("interleaved")
+        sets = [GeomParams(t=tuple(Fraction(rng.randint(1, 6), 7) for _ in range(1 + k % 2)),
+                           x=tuple(Fraction(j, k + 3) for j in range(1, 2 + k // 2 % 2)))
+                for k in range(12)]
+        assert len(set(sets)) == 12
+        assert max(_law_constants.cache_info().maxsize, _h_rows.cache_info().maxsize) < 12
+        box = enumerate_partitions_in_box(2, 2)
+        want = {(la, p): exact_prob_bruteforce(la, p) for la in box for p in sets}
+        assert {(la, p): exact_prob(la, p) for la in box for p in sets} == want
+        assert {(la, p): exact_prob(la, p) for la in box[::-1] for p in sets[::-1]} == want
 
     def test_params_validated(self):
         with pytest.raises(ValueError):
@@ -273,6 +289,16 @@ class TestNumericDeterminant:
             values.update({T(i): v for i, v in enumerate(ts, start=1)})
             assert g_numeric(la, xs, ts) == poly.evaluate(values)
 
+    def test_g_numeric_lists_ints_and_the_empty_shape(self):
+        poly = dual_grothendieck((2, 1), 2, route="jt_e")
+        xs, ts = [Fraction(1, 2), 3], [Fraction(2, 5)]
+        want = poly.evaluate({X(1): Fraction(1, 2), X(2): 3, T(1): Fraction(2, 5)})
+        assert g_numeric([2, 1], xs, ts) == g_numeric((2, 1), tuple(xs), tuple(ts)) == want
+        xs[1] = 5  # the cached tables were built from a copy of the list
+        want = poly.evaluate({X(1): Fraction(1, 2), X(2): 5, T(1): Fraction(2, 5)})
+        assert g_numeric([2, 1], xs, ts) == want
+        assert g_numeric((), [], []) == g_numeric([], [Fraction(1, 3)], []) == 1
+
     @pytest.mark.parametrize("la,ts", [((2, 1), []), ((2, 2, 1), [Fraction(1, 3)]),
                                        ((1, 1, 1, 1), [Fraction(1, 2)] * 2)])
     def test_g_numeric_too_few_t_values_raises(self, la, ts):
@@ -302,8 +328,8 @@ def _loop_matrix(params, rng):
                  for i in range(params.l))
 
 
-def _loop_hits(la, params, trials, seed):
-    rng = SplitMix64(seed)
+def _loop_hits(la, params, trials, seed, stream=0):
+    rng = SplitMix64(seed, stream)
     target = tuple(la[i] if i < len(la) else 0 for i in range(params.l))
     return sum(last_passage(_loop_matrix(params, rng)) == target for _ in range(trials))
 
@@ -403,6 +429,35 @@ class TestSamplerBytes:
                 monte_carlo((1,), params, trials, seed)
             if trials > 1:
                 monte_carlo((1,), params, trials - 1, seed)  # one trial short: no runaway
+
+
+def _assert_hits_match_the_loop(params, seed, stream, trials=300):
+    """monte_carlo hits equal the reference loop's on the G-vectors the loop
+    draws most often and on two small shapes."""
+    rng = SplitMix64(seed, stream)
+    seen = Counter(last_passage(_loop_matrix(params, rng)) for _ in range(trials))
+    assert seen.most_common(1)[0][1] > 1
+    for la in [g for g, _ in seen.most_common(3)] + [(), (1,)]:
+        got = monte_carlo(la, params, trials, seed, stream).hits
+        assert got == _loop_hits(la, params, trials, seed, stream), la
+
+
+class TestInlineSampler:
+    @pytest.mark.parametrize("params", [PARAMS_A, SAMPLER_PARAMS[-1]])
+    @pytest.mark.parametrize("seed,stream", [(7, 3), (2 ** 63 + 17, 0),
+                                             (2 ** 64 - 5, 2 ** 31 + 1)])
+    def test_hits_on_any_stream_and_seed(self, params, seed, stream):
+        _assert_hits_match_the_loop(params, seed, stream)
+
+    @pytest.mark.parametrize("name,value", [("GAMMA", 0xD1B54A32D192ED03),
+                                            ("MIX1", 0xFF51AFD7ED558CCD),
+                                            ("MIX2", 0xC4CEB9FE1A85EC53)])
+    def test_next_u64_and_the_draw_loop_read_the_same_constants(self, monkeypatch,
+                                                                 name, value):
+        before = [SplitMix64(1, 2).next_u64() for _ in range(3)]
+        monkeypatch.setattr(SplitMix64, name, value)
+        assert [SplitMix64(1, 2).next_u64() for _ in range(3)] != before
+        _assert_hits_match_the_loop(SAMPLER_PARAMS[-1], 1, 2)
 
 
 class TestTasep:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+import decimal
 import hashlib
 import json
 from itertools import combinations, combinations_with_replacement
@@ -24,9 +25,11 @@ from grothlab.polynomial import (
     ek,
     h_table,
     hk,
+    int_text,
     longest_word,
     PolyMatrix,
     pi_w0,
+    text_int,
     var_from_name,
 )
 
@@ -328,6 +331,31 @@ class TestSerialization:
         p = x1 + x2 + t1
         q = t1 + x2 + x1
         assert p.to_json() == q.to_json()
+
+    def test_coefficients_past_the_int_digit_limit(self):
+        # 5,000-digit numerator over a 5,000-digit denominator: str() of
+        # such an int raises under the interpreter's default limit
+        num, den = 3 ** 10479 + 2, 7 ** 5916
+        assert len(int_text(num)) == len(int_text(den)) == 5000
+        c = Fraction(num, den)
+        p = c * x1 ** 2 * P(T(1)) ** -1 - 10 ** 6000 * x2 + 7
+        assert Polynomial.from_json_obj(json.loads(p.to_json())) == p
+        assert p.to_json_obj()[0]["coeff"] == f"{int_text(num)}/{int_text(den)}"
+        assert str(p) == f"{int_text(num)}/{int_text(den)}*x1^2*t1^-1 - 1{'0' * 6000}*x2 + 7"
+
+    @pytest.mark.parametrize("n", [0, 7, -1, 10 ** 599, 10 ** 600, -(10 ** 600) + 1,
+                                   3 ** 10479 + 2, -(2 ** 40000) + 1],
+                             ids=lambda n: f"bits{n.bit_length()}{'-' if n < 0 else ''}")
+    def test_int_text_round_trip(self, n):
+        # decimal converts ints without the interpreter's digit limit
+        want = str(decimal.Context(prec=decimal.MAX_PREC).create_decimal(n))
+        assert int_text(n) == want
+        assert text_int(want) == n
+
+    @pytest.mark.parametrize("text", ["1" * 700 + "-2", "--" + "1" * 700, "1" * 700 + "x"])
+    def test_text_int_rejects_malformed(self, text):
+        with pytest.raises(ValueError):
+            text_int(text)
 
     def test_variable_names(self):
         assert str(GAMMA) == "gamma"

@@ -202,6 +202,8 @@ def dict_power(d: dict, e: int) -> dict:
 def substituted(p: Polynomial, bindings: dict) -> dict:
     """p with VARS[i] replaced by bindings[i], term by term in RING."""
     values = {VARS.index(v): exponent_dict(as_poly(val)) for v, val in bindings.items()}
+    if any(vec[i] < 0 and not val for vec in exponent_dict(p) for i, val in values.items()):
+        raise ZeroDivisionError  # reported before a value that is not invertible
     total: dict = {}
     for vec, c in exponent_dict(p).items():
         term = {tuple(0 if i in values else e for i, e in enumerate(vec)): c}
@@ -250,6 +252,8 @@ def test_substitute_monomials_matches_sympy_ring(p, bindings):
 @example(_x(-2) + 1, {X(1): Polynomial.zero()})
 @example(_x(-1) * _t(2), {X(1): _x(1) + _t(1)})
 @example(_x(2) - _t(1), {X(1): _t(1), T(1): _x(1)})
+@example(_x(-1) * _t(-1), {T(1): _x(1) + 1, X(1): Polynomial.zero()})
+@example(_x(-1) + _t(-1), {T(1): _x(1) + 1, X(1): Polynomial.zero()})
 @settings(max_examples=40, deadline=None)
 def test_substitute_polynomials_matches_sympy_ring(p, bindings):
     # a negative power of a zero or of a many-term value must raise

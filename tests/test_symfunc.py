@@ -212,9 +212,9 @@ class TestSkewDualGrothendieck:
     def test_branching_chain_consistency(self):
         # one-variable factorized product chained over x1, x2 equals the sum
         got = skew_dual_grothendieck((2, 1), (1, 1), 1)
-        from grothlab.symfunc import one_variable_skew_g
+        from grothlab.diffops import one_variable_factorized
 
-        want = one_variable_skew_g((2, 1), (1, 1), X(1), [t1, t2])
+        want = one_variable_factorized((2, 1), (1, 1), 2, X(1), [t1, t2])
         assert got == want
 
 
