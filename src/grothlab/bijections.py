@@ -37,10 +37,11 @@ def biword_to_matrix(pairs, rows, cols):
     return tuple(tuple(r) for r in m)
 
 
-def _row_insert(rows, x):
-    """Bump x into the tableau; returns (new rows, (r, c) of the new box)."""
+def _row_insert_from(rows, x, start_row):
+    """Row-insert x starting the bumping at the given row (1-based); returns
+    (new rows, (r, c) of the new box)."""
     rows = [list(r) for r in rows]
-    r = 0
+    r = start_row - 1
     while True:
         if r == len(rows):
             rows.append([x])
@@ -64,30 +65,33 @@ def rsk(m):
     P: tuple = ()
     Q: list = []
     for i, j in matrix_to_biword(m):
-        P, (r, c) = _row_insert(P, j)
+        P, (r, c) = _row_insert_from(P, j, 1)
         while len(Q) < r:
             Q.append([])
         Q[r - 1].append(i)
     return P, tuple(tuple(q) for q in Q)
 
 
-def _reverse_insert(rows, r):
-    """Remove the last box of row r and reverse-bump upward; returns the new
-    rows and the value that pops out of row 1."""
-    rows = [list(q) for q in rows]
+def _reverse_insert_to(rows, box, stop_row):
+    """Remove the box and reverse-bump up to (and including) stop_row;
+    returns (ejected value, new rows)."""
+    rows = [list(r) for r in rows]
+    r, c = box
+    if c - 1 != len(rows[r - 1]) - 1:
+        raise ValueError("can only reverse from the end of a row")
     x = rows[r - 1].pop()
     if not rows[r - 1]:
         rows.pop(r - 1)
-    for rr in range(r - 2, -1, -1):
+    for rr in range(r - 2, stop_row - 2, -1):
         row = rows[rr]
         # rightmost entry strictly less than x
         pos = None
-        for c in range(len(row) - 1, -1, -1):
-            if row[c] < x:
-                pos = c
+        for cc in range(len(row) - 1, -1, -1):
+            if row[cc] < x:
+                pos = cc
                 break
         x, row[pos] = row[pos], x
-    return tuple(tuple(q) for q in rows), x
+    return x, tuple(tuple(q) for q in rows)
 
 
 def rsk_inverse(P, Q, rows=None, cols=None):
@@ -110,7 +114,7 @@ def rsk_inverse(P, Q, rows=None, cols=None):
                     best = (v, r)
         v, r = best
         Qw[r].pop()
-        Pw, j = _reverse_insert(Pw, r + 1)
+        j, Pw = _reverse_insert_to(Pw, (r + 1, len(Pw[r])), 1)
         pairs.append((v, j))
         remaining -= 1
     pairs.reverse()
@@ -283,27 +287,6 @@ def uncrowd(svt_rows):
     return UncrowdResult(insertion, tuple(recording), markings)
 
 
-def _row_insert_from(rows, x, start_row):
-    """Row-insert x starting the bumping at the given row (1-based)."""
-    rows = [list(r) for r in rows]
-    r = start_row - 1
-    while True:
-        if r == len(rows):
-            rows.append([x])
-            return tuple(tuple(q) for q in rows), (r + 1, 1)
-        row = rows[r]
-        pos = None
-        for c, v in enumerate(row):
-            if v > x:
-                pos = c
-                break
-        if pos is None:
-            row.append(x)
-            return tuple(tuple(q) for q in rows), (r + 1, len(row))
-        x, row[pos] = row[pos], x
-        r += 1
-
-
 def crowd(result: UncrowdResult):
     """Invert uncrowding: undo recorded boxes latest-first."""
     mu = tuple(len(r) for r in result.insertion)
@@ -353,27 +336,6 @@ def crowd(result: UncrowdResult):
         if not placed:
             raise ValueError("cannot re-crowd the recorded entry")
     return tuple(tuple(tuple(sorted(cell)) for cell in row) for row in cells)
-
-
-def _reverse_insert_to(rows, box, stop_row):
-    """Remove the box and reverse-bump up to (and including) stop_row;
-    returns (ejected value, new rows)."""
-    rows = [list(r) for r in rows]
-    r, c = box
-    if c - 1 != len(rows[r - 1]) - 1:
-        raise ValueError("can only reverse from the end of a row")
-    x = rows[r - 1].pop()
-    if not rows[r - 1]:
-        rows.pop(r - 1)
-    for rr in range(r - 2, stop_row - 2, -1):
-        row = rows[rr]
-        pos = None
-        for cc in range(len(row) - 1, -1, -1):
-            if row[cc] < x:
-                pos = cc
-                break
-        x, row[pos] = row[pos], x
-    return x, tuple(tuple(q) for q in rows)
 
 
 # ---------------------------------------------------------------------------

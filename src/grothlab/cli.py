@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from .polynomial import X, Z, as_poly, int_text
-from .shapes import parse_partition, subpartitions
+from .shapes import parse_partition, part, subpartitions
 from . import symfunc
 from . import vertex
 from . import lpp as lpp_mod
@@ -69,7 +69,7 @@ def cmd_expand(args):
         if route == "schur":
             # render as a Schur expansion with t-polynomial coefficients
             lines = []
-            for mu in symfunc._superset_shapes(shape, n):
+            for mu in subpartitions((part(shape, 1),) * n, shape):
                 c = symfunc.E_coeff(shape, mu, negate=True)
                 if not c.is_zero():
                     lines.append({"mu": list(mu), "coeff": c.to_json_obj()})

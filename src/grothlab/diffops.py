@@ -14,8 +14,6 @@ determinant builders use directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .polynomial import Polynomial, T, X, as_poly, determinant, e_table, ek, h_table, hk
 from .shapes import conjugate, contains, part, partition
 
@@ -28,106 +26,51 @@ _ZERO = Polynomial.zero()
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SeqAtom:
-    """A basic sequence: kind decides the evaluation rule.
+class Seq:
+    """The sequence v -> fn(v), zero below ``lower``; each value is computed
+    once."""
 
-    kind 'h'      : v -> h_v(atoms)              (zero for v < 0)
-    kind 'v'      : v -> atom^v H(v)             (single atom; x^v Heaviside)
-    kind 'e_short': v -> atom^v E(v)             (E = indicator of {0, 1})
-    kind 'e'      : v -> e_v(atoms)              (zero outside 0..len(atoms))
-
-    Each kind vanishes below v = 0.
-    """
-
-    kind: str
-    atoms: tuple
-
-    def eval(self, v: int) -> Polynomial:
-        if self.kind == "h":
-            return hk(v, self.atoms)
-        if self.kind == "v":
-            if v < 0:
-                return _ZERO
-            return as_poly(self.atoms[0]) ** v
-        if self.kind == "e_short":
-            if v == 0:
-                return _ONE
-            if v == 1:
-                return as_poly(self.atoms[0])
-            return _ZERO
-        if self.kind == "e":
-            return ek(v, self.atoms)
-        raise ValueError(f"unknown atom kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
-class SeqFn:
-    """Finite linear combination of shifted atoms: sum c_i * A_i(v + shift_i)."""
-
-    parts: tuple  # of (coeff Polynomial, shift int, SeqAtom)
-
-    @classmethod
-    def atom(cls, kind, atoms) -> "SeqFn":
-        return cls(((Polynomial.one(), 0, SeqAtom(kind, tuple(atoms))),))
-
-    def eval(self, v: int) -> Polynomial:
-        total = _ZERO
-        for coeff, shift, a in self.parts:
-            val = a.eval(v + shift)
-            if not val.is_zero():
-                total = total + coeff * val
-        return total
-
-    def lower_bound(self) -> int:
-        """Largest L with eval(v) = 0 for all v < L (every atom vanishes below 0)."""
-        return -max((shift for _, shift, _ in self.parts), default=0)
-
-    def shifted(self, d: int) -> "SeqFn":
-        return SeqFn(tuple((c, s + d, a) for c, s, a in self.parts))
-
-    def scaled(self, p) -> "SeqFn":
-        p = as_poly(p)
-        return SeqFn(tuple((c * p, s, a) for c, s, a in self.parts))
-
-    def __add__(self, other: "SeqFn") -> "SeqFn":
-        return SeqFn(self.parts + other.parts)
-
-
-def h_seq(atoms) -> SeqFn:
-    return SeqFn.atom("h", atoms)
-
-
-def v_seq(atom) -> SeqFn:
-    return SeqFn.atom("v", [atom])
-
-
-def e_short_seq(atom) -> SeqFn:
-    return SeqFn.atom("e_short", [atom])
-
-
-def e_seq(atoms) -> SeqFn:
-    return SeqFn.atom("e", atoms)
-
-
-class _CachedSeq:
-    """The sequence v -> fn(v), vanishing below ``lower``; each value is
-    computed once."""
-
-    def __init__(self, fn, lower: int):
+    def __init__(self, fn, lower: int = 0):
         self._fn, self._lower, self._cache = fn, lower, {}
 
     def eval(self, v: int) -> Polynomial:
+        if v < self._lower:
+            return _ZERO
         got = self._cache.get(v)
         if got is None:
             got = self._cache[v] = self._fn(v)
         return got
 
     def lower_bound(self) -> int:
+        """Largest L with eval(v) = 0 for all v < L."""
         return self._lower
 
 
-def convolve_eval(f: SeqFn, g: SeqFn, v: int) -> Polynomial:
+def h_seq(atoms) -> Seq:
+    """v -> h_v(atoms)."""
+    atoms = tuple(atoms)
+    return Seq(lambda v: hk(v, atoms))
+
+
+def v_seq(atom) -> Seq:
+    """v -> atom^v H(v), with H the Heaviside step."""
+    x = as_poly(atom)
+    return Seq(lambda v: x ** v)
+
+
+def e_short_seq(atom) -> Seq:
+    """v -> atom^v E(v), with E the indicator of {0, 1}."""
+    x = as_poly(atom)
+    return Seq(lambda v: _ONE if v == 0 else x if v == 1 else _ZERO)
+
+
+def e_seq(atoms) -> Seq:
+    """v -> e_v(atoms), zero outside 0..len(atoms)."""
+    atoms = tuple(atoms)
+    return Seq(lambda v: ek(v, atoms))
+
+
+def convolve_eval(f: Seq, g: Seq, v: int) -> Polynomial:
     """(f*g)(v) = sum_u f(v-u) g(u), a finite sum by the support bounds."""
     lo = g.lower_bound()
     hi = v - f.lower_bound()
@@ -147,7 +90,7 @@ def convolve_eval(f: SeqFn, g: SeqFn, v: int) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 
-def eval_delta(word, f: SeqFn, v: int) -> Polynomial:
+def eval_delta(word, f: Seq, v: int) -> Polynomial:
     """Apply the operators in the word (leftmost acts last) to f, evaluated
     at v.  Inverse steps expand as finite sums using the support bound."""
 
@@ -174,7 +117,7 @@ def eval_delta(word, f: SeqFn, v: int) -> Polynomial:
     return rec(0, v)
 
 
-def forward_closed(ts, f: SeqFn, v: int) -> Polynomial:
+def forward_closed(ts, f: Seq, v: int) -> Polynomial:
     """Delta_{t_k} ... Delta_{t_1} f(v) = sum_m e_m(-t) f(v+k-m)."""
     k = len(ts)
     E = e_table(k, [-as_poly(t) for t in ts])
@@ -188,7 +131,7 @@ def forward_closed(ts, f: SeqFn, v: int) -> Polynomial:
     return total
 
 
-def inverse_closed(ts, f: SeqFn, v: int) -> Polynomial:
+def inverse_closed(ts, f: Seq, v: int) -> Polynomial:
     """Delta^{-1}_{t_k} ... Delta^{-1}_{t_1} f(v) = sum_m h_m(t) f(v-k-m)."""
     top = v - len(ts) - f.lower_bound()
     H = h_table(max(top, 0), ts)
@@ -200,7 +143,7 @@ def inverse_closed(ts, f: SeqFn, v: int) -> Polynomial:
     return total
 
 
-def delta_span(ts, i: int, j: int, f: SeqFn, v: int) -> Polynomial:
+def delta_span(ts, i: int, j: int, f: Seq, v: int) -> Polynomial:
     """The multiple operator indexed from i to j: forward Delta_{t_i}..
     Delta_{t_{j-1}} when j >= i, else inverse Delta_{t_j}^-1..Delta_{t_{i-1}}^-1."""
     if j >= i:
@@ -208,7 +151,7 @@ def delta_span(ts, i: int, j: int, f: SeqFn, v: int) -> Polynomial:
     return inverse_closed(ts[j - 1: i - 1], f, v)
 
 
-def delta_span_values(ts, a: int, b: int, f: SeqFn, v: int) -> Polynomial:
+def delta_span_values(ts, a: int, b: int, f: Seq, v: int) -> Polynomial:
     """Value-indexed span: forward word over t_a .. t_{b-1} when b >= a,
     else inverse word over t_b .. t_{a-1}.  Index 0 denotes the zero
     spectral value (the inverse step at 0 is a plain shift)."""
@@ -344,13 +287,13 @@ def skew_jt_e(outer, inner, n, t_atoms=None) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 
-def verify_convolution(f: SeqFn, g: SeqFn, la, mu, l, window_pad=2) -> bool:
+def verify_convolution(f: Seq, g: Seq, la, mu, l, window_pad=2) -> bool:
     """Ordered nu-sum of det[D f(nu_i - mu_j)] det[D g(la_i - nu_j)] equals
     det[D (f*g)(la_i - mu_j)]; the nu window is derived from the supports."""
     la, mu = partition(la), partition(mu)
     ts = [T(i) for i in range(1, l + 1)]
 
-    fg = _CachedSeq(lambda v: convolve_eval(f, g, v), f.lower_bound() + g.lower_bound())
+    fg = Seq(lambda v: convolve_eval(f, g, v), f.lower_bound() + g.lower_bound())
     lo = min(part(mu, l) + f.lower_bound(), 0) - l - window_pad
     hi = part(la, 1) - g.lower_bound() + l + window_pad
     lhs = _ZERO
@@ -407,7 +350,7 @@ def stacked_delta_h(j, i, v, tinv, xs) -> Polynomial:
     """Delta_{t^-1}^{j-i-1} h_v(x) := (inverse word t_1..t_i)(forward word
     t_1..t_{j-1}) applied to the h-sequence, evaluated at v."""
     f = h_seq(xs)
-    fwd = _CachedSeq(lambda w: forward_closed(tinv[: j - 1], f, w), f.lower_bound() - (j - 1))
+    fwd = Seq(lambda w: forward_closed(tinv[: j - 1], f, w), f.lower_bound() - (j - 1))
     return inverse_closed(tinv[:i], fwd, v)
 
 

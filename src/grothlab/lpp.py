@@ -18,7 +18,7 @@ from functools import lru_cache
 from math import lcm, sqrt
 
 from .polynomial import T, X, _h_grid
-from .shapes import part, partition
+from .shapes import part, partition, subpartitions
 
 
 @dataclass(frozen=True)
@@ -244,29 +244,13 @@ def transition_prob_multistep(la, mu, params: GeomParams) -> Fraction:
     for j in range(1, params.n + 1):
         nxt = {}
         for nu, p in states.items():
-            for target in _interpolating_shapes(nu, la):
+            for target in subpartitions(la, nu):
                 q = transition_prob(target, nu, params, column=j)
                 if q:
                     key = tuple(part(target, i) for i in range(1, params.l + 1))
                     nxt[key] = nxt.get(key, Fraction(0)) + p * q
         states = nxt
     return states.get(tuple(part(la, i) for i in range(1, params.l + 1)), Fraction(0))
-
-
-def _interpolating_shapes(lo, hi):
-    l = len(hi) if len(hi) > len(lo) else len(lo)
-
-    def rec(i, prefix):
-        if i > l:
-            yield partition(prefix)
-            return
-        a = lo[i - 1] if i - 1 < len(lo) else 0
-        b = hi[i - 1] if i - 1 < len(hi) else 0
-        top = min(b, prefix[-1]) if prefix else b
-        for v in range(a, top + 1):
-            yield from rec(i + 1, prefix + [v])
-
-    yield from rec(1, [])
 
 
 def schur_measure(la, params: GeomParams) -> Fraction:
@@ -291,23 +275,24 @@ def verify_schur_measure_cdf(m, params: GeomParams) -> bool:
     return lhs == rhs
 
 
+def _at_params(poly, params: GeomParams) -> Fraction:
+    """poly in x_1..x_n and t_1..t_l, evaluated at the parameters."""
+    values = {X(i): params.x[i - 1] for i in range(1, params.n + 1)}
+    values.update({T(i): params.t[i - 1] for i in range(1, params.l + 1)})
+    return poly.evaluate(values)
+
+
 def lpp_cdf_value_det(m, params: GeomParams) -> Fraction:
     """Numeric evaluation of the difference-operator determinant form."""
     from .diffops import lpp_cdf_det
 
-    poly = lpp_cdf_det(params.l, params.n, m)
-    values = {X(i): params.x[i - 1] for i in range(1, params.n + 1)}
-    values.update({T(i): params.t[i - 1] for i in range(1, params.l + 1)})
-    return poly.evaluate(values)
+    return _at_params(lpp_cdf_det(params.l, params.n, m), params)
 
 
 def lpp_cdf_value_schur(m, params: GeomParams) -> Fraction:
     from .diffops import lpp_cdf_schur
 
-    poly = lpp_cdf_schur(params.l, params.n, m)
-    values = {X(i): params.x[i - 1] for i in range(1, params.n + 1)}
-    values.update({T(i): params.t[i - 1] for i in range(1, params.l + 1)})
-    return poly.evaluate(values)
+    return _at_params(lpp_cdf_schur(params.l, params.n, m), params)
 
 
 # ---------------------------------------------------------------------------
@@ -447,22 +432,6 @@ def monte_carlo(la, params: GeomParams, trials: int, seed: int,
 # ---------------------------------------------------------------------------
 
 
-def phi_row_counts(rows, outer, l):
-    """Matrix of the row/value differ-below counts: entry (i, j) counts the
-    cells of tableau row l+1-i with value j not equal to the cell below."""
-    outer = partition(outer)
-    n = max((v for row in rows for v in row), default=1)
-    grid = {}
-    for r in range(1, len(outer) + 1):
-        for c, v in enumerate(rows[r - 1], start=1):
-            grid[(r, c)] = v
-    counts = [[0] * n for _ in range(l)]
-    for (r, c), v in grid.items():
-        if grid.get((r + 1, c)) != v:
-            counts[l - r][v - 1] += 1
-    return tuple(tuple(row) for row in counts)
-
-
 def tasep_evolution(rows, outer, l, n, horizon):
     """Deterministic TASEP trajectories under the blocking schedule read off
     the tableau: particle p_i (starting at 1-i) stays during step t -> t+1
@@ -525,9 +494,10 @@ def tasep_check(rows, outer, l, n) -> bool:
     """The first-passage times of p_n under the blocking schedule equal
     G(k, n) + k + n - 1 computed from the differ-below matrix of the
     tableau."""
+    from .bijections import phi
+
     outer = partition(outer)
-    counts = phi_row_counts(rows, outer, l)
-    g = last_passage(counts)
+    g = last_passage(phi(rows, outer, l))
     horizon = g[0] + l + n + 2
     history = tasep_evolution(rows, outer, l, n, horizon)
     times = first_passage_times(history, n, l)

@@ -217,15 +217,20 @@ def int_text(n: int) -> str:
 
 
 def text_int(s: str) -> int:
-    """The int of a decimal text of any length; the inverse of int_text."""
-    if len(s) <= _PIECE:
-        return int(s)
-    digits = s[1:] if s[0] in "+-" else s
+    """The int of a decimal text of any length; the inverse of int_text.
+
+    The text is an optional sign followed by ASCII digits, at every length;
+    anything else (spaces, ``_`` separators) raises ValueError.
+    """
+    digits = s[1:] if s[:1] in ("+", "-") else s
     if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"not a decimal integer: {s[:20]}... ({len(s)} characters)")
-    k = len(digits) // 2
-    n = text_int(digits[:-k]) * 10 ** k + text_int(digits[-k:])
-    return -n if s[0] == "-" else n
+        raise ValueError(f"not a decimal integer: {s[:20]!r} ({len(s)} characters)")
+    if len(digits) <= _PIECE:
+        n = int(digits)
+    else:
+        k = len(digits) // 2
+        n = text_int(digits[:-k]) * 10 ** k + text_int(digits[-k:])
+    return -n if s[:1] == "-" else n
 
 
 def _norm_coeff(c):

@@ -141,23 +141,21 @@ def enumerate_partitions_in_box(n: int, k: int):
     return out
 
 
-def subpartitions(la: tuple):
-    """All mu contained in la, graded-lex order."""
-    l = len(la)
+def subpartitions(la: tuple, inner: tuple = ()):
+    """All mu with inner <= mu <= la componentwise, in graded lexicographic
+    order (by size, then lex descending parts); empty unless inner is
+    contained in la.  inner may carry trailing zeros."""
+    out = []
 
     def rec(i, prefix):
-        yield partition(prefix)
-        if i >= l:
-            return
-        cap = min(la[i], prefix[-1] if prefix else la[0] if la else 0)
-        for a in range(1, cap + 1):
-            yield from rec(i + 1, prefix + [a])
+        if part(inner, i + 1) == 0:
+            out.append(tuple(prefix))
+        cap = min(part(la, i + 1), prefix[-1]) if prefix else part(la, 1)
+        for a in range(max(part(inner, i + 1), 1), cap + 1):
+            prefix.append(a)
+            rec(i + 1, prefix)
+            prefix.pop()
 
-    seen = set()
-    out = []
-    for mu in rec(0, []):
-        if mu not in seen:
-            seen.add(mu)
-            out.append(mu)
+    rec(0, [])
     out.sort(key=lambda p: (sum(p), tuple(-a for a in p)))
     return out

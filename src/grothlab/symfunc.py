@@ -45,6 +45,7 @@ from .shapes import (
     part,
     partition,
     staircase,
+    subpartitions,
 )
 from . import tableaux as tb
 
@@ -244,7 +245,7 @@ def dual_grothendieck(la, n, t_atoms=None, route="jt_h") -> Polynomial:
                              for rows in tb.enumerate_rpp(la, (), n)), xs + ts[: l - 1])
     if route == "schur_decomp":
         total = Polynomial.zero()
-        for mu in _subshapes(la):
+        for mu in subpartitions(la):
             c = e_coeff(la, mu, ts)
             if c.is_zero():
                 continue
@@ -286,12 +287,6 @@ def g_jt_h(la, x_atoms, t_atoms) -> Polynomial:
     return determinant(_h_grid(la, tables))
 
 
-def _subshapes(la):
-    for mu in enumerate_partitions_in_box(len(la), la[0] if la else 0):
-        if contains(la, mu):
-            yield mu
-
-
 def skew_dual_grothendieck(outer, inner, n, t_atoms=None, route="rpp") -> Polynomial:
     """g_{outer/inner}(x_1..x_n; t)."""
     outer, inner = partition(outer), partition(inner)
@@ -307,12 +302,14 @@ def skew_dual_grothendieck(outer, inner, n, t_atoms=None, route="rpp") -> Polyno
                              for rows in tb.enumerate_rpp(outer, inner, n)),
                             xs + ts[: max(l - 1, 0)])
     if route == "one_var_chain":
-        # chain the factorized single-variable skew over x_1..x_n
+        # chain the factorized single-variable skew over x_1..x_n; each step
+        # visits every nu between mid and outer, not only horizontal strips,
+        # since single-variable skew RPPs allow columns
         states = {inner: Polynomial.one()}
         for i in range(n):
             nxt: dict = {}
             for mid, w in states.items():
-                for nu in _between(mid, outer):
+                for nu in subpartitions(outer, mid):
                     f = one_variable_factorized(nu, mid, len(nu), xs[i], ts)
                     if f.is_zero():
                         continue
@@ -320,23 +317,6 @@ def skew_dual_grothendieck(outer, inner, n, t_atoms=None, route="rpp") -> Polyno
             states = nxt
         return states.get(outer, Polynomial.zero())
     raise ValueError(f"unknown skew g route {route!r}")
-
-
-def _between(lo, hi):
-    """Partitions nu with lo <= nu <= hi componentwise (nu need not be a
-    horizontal strip over lo: single-variable skew RPPs allow columns)."""
-    l = len(hi)
-
-    def rec(i, prefix):
-        if i > l:
-            yield partition(prefix)
-            return
-        lo_i = part(lo, i)
-        hi_i = min(part(hi, i), prefix[-1] if prefix else part(hi, 1))
-        for v in range(lo_i, hi_i + 1):
-            yield from rec(i + 1, prefix + [v])
-
-    yield from rec(1, [])
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +344,8 @@ def grothendieck(la, n, t_atoms=None, route="schur_expansion") -> Polynomial:
         return Polynomial.from_exponent_counts(counts, xs + ts_rows)
     if route == "schur_expansion":
         total = Polynomial.zero()
-        for mu in _superset_shapes(la, n):
+        # mu >= la with mu_1 = la_1 and at most n rows (the E support)
+        for mu in subpartitions((part(la, 1),) * n, la):
             c = E_coeff(la, mu, ts, negate=True)
             if c.is_zero():
                 continue
@@ -391,15 +372,6 @@ def grothendieck(la, n, t_atoms=None, route="schur_expansion") -> Polynomial:
                 p = p * (Polynomial.one() - ts[i - 1] * as_poly(X(j)))
         return divided_difference_word(p, longest_word(n))
     raise ValueError(f"unknown G route {route!r}")
-
-
-def _superset_shapes(la, n):
-    """mu >= la with mu_1 = la_1 and at most n rows (the E support)."""
-    la = partition(la)
-    width = part(la, 1)
-    for mu in enumerate_partitions_in_box(n, width):
-        if contains(mu, la) and part(mu, 1) == width:
-            yield mu
 
 
 def grothendieck_multischur(la, n, t_atoms=None) -> Polynomial:
@@ -521,7 +493,7 @@ def verify_branching(la, n) -> IdentityReport:
     lhs = g_jt_h(la, xs + [GAMMA], ts)
     rhs = Polynomial.zero()
     gam = as_poly(GAMMA)
-    for mu in _subshapes(la):
+    for mu in subpartitions(la):
         w = gam ** (part(la, 1) - part(mu, 1))
         for i in range(2, l + 1):
             d = part(la, i) - part(mu, i)
@@ -542,7 +514,7 @@ def verify_generalized_coincidence(nu, m, n) -> IdentityReport:
     xs = [X(i) for i in range(1, n + 1)]
     lhs = schur(nu, xs + ts_tilde)
     rhs = Polynomial.zero()
-    for la in _subshapes(nu):
+    for la in subpartitions(nu):
         p = p_coeff(nu, la, ts_tilde)
         if p.is_zero():
             continue

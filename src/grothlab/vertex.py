@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .polynomial import BETA, Polynomial, PolyMatrix, T, X, Z, as_poly
-from .shapes import part, partition
+from .shapes import part, partition, subpartitions
 
 _ONE = Polynomial.one()
 _ZERO = Polynomial.zero()
@@ -296,6 +296,18 @@ def _row_transfer(states: dict, row: RowSpec, table: dict) -> dict:
     return {k: v for k, v in summed if v}
 
 
+def _project(states: dict, width: int, want) -> dict:
+    """Narrow bit-states to their first width columns, keeping those whose
+    dropped columns read as want does there; merged weights are summed."""
+    out: dict = {}
+    for bits, w in states.items():
+        if bits[width:] == want[width:len(bits)]:
+            key = bits[:width]
+            got = out.get(key)
+            out[key] = w if got is None else got + w
+    return out
+
+
 def partition_function(model: JaggedModel) -> Polynomial:
     """Exact sum over all admissible states by row-to-row transfer.
 
@@ -306,28 +318,16 @@ def partition_function(model: JaggedModel) -> Polynomial:
         return _ONE if not model.bottom_ones and not model.top_ones else _ZERO
     width = rows[0].length
     bottom = tuple(1 if c in model.bottom_ones else 0 for c in range(1, width + 1))
+    top = tuple(1 if c in model.top_ones else 0 for c in range(1, width + 1))
     states = {bottom: _ONE}
     for idx, row in enumerate(rows):
         states = _row_transfer(states, row, _cell_table(row.lmatrix, row.spectral))
         next_len = rows[idx + 1].length if idx + 1 < len(rows) else 0
         if next_len < row.length:
-            projected: dict = {}
-            for bits, w in states.items():
-                keep = True
-                for c in range(next_len + 1, row.length + 1):
-                    want = 1 if c in model.top_ones else 0
-                    if bits[c - 1] != want:
-                        keep = False
-                        break
-                if keep:
-                    key = bits[:next_len]
-                    got = projected.get(key)
-                    projected[key] = w if got is None else got + w
-            states = projected
+            states = _project(states, next_len, top)
         if not states:
             return _ZERO
-    total = states.get((), _ZERO)
-    return total
+    return states.get((), _ZERO)
 
 
 def enumerate_states(model: JaggedModel):
@@ -489,17 +489,13 @@ def set_valued_elegant_expansion(la, n) -> Polynomial:
     At beta = 0 this degenerates to the dual Grothendieck polynomial; its
     Schur expansion is sign-alternating by degree (see tests).
     """
-    from .shapes import contains, enumerate_partitions_in_box
     from .symfunc import grothendieck
     from . import tableaux as tb
 
     la = partition(la)
     b = as_poly(BETA)
     total = _ZERO
-    width = part(la, 1)
-    for mu in enumerate_partitions_in_box(max(len(la), 1), width):
-        if not contains(la, mu):
-            continue
+    for mu in subpartitions(la):
         Gmu = grothendieck(mu, n, [-b] * (n - 1))
         ssum = _ZERO
         for rows in tb.enumerate_set_valued_elegant(la, mu):
@@ -579,36 +575,31 @@ def e_lambda_bits(la, width: int) -> tuple:
 
 
 def operator_route_dualg(la, n) -> Polynomial:
-    """Evaluate the dual-Grothendieck partition function through explicit row
-    operators with width projections, as a cross-check of the transfer."""
+    """Evaluate the dual-Grothendieck partition function through the row
+    operators A(z) (the columns of :func:`row_operator`, whose exchange
+    relations :func:`verify_operator_relations` checks), narrowing the width
+    between rows, as a cross-check of the transfer."""
     la = partition(la)
     l = len(la)
     width = part(la, 1) + l
-    vec = {e_lowest(l, width): _ONE}
-    L = lmatrix_nilp()
+    target = e_lambda_bits(la, width)
 
     def apply_op(vec, z, w):
-        row = RowSpec(w, L, as_poly(z))
-        return _row_transfer(vec, row, _cell_table(L, z))
+        op = row_operator("A", z, w)
+        out: dict = {}
+        for bits, coeff in vec.items():
+            for key, entry in apply_to_basis(op, bits).items():
+                got = out.get(key)
+                out[key] = coeff * entry if got is None else got + coeff * entry
+        return out
 
-    target = e_lambda_bits(la, width)
+    vec = {e_lowest(l, width): _ONE}
     for i in range(1, n + 1):
         vec = apply_op(vec, X(i), width)
-    cur_width = width
     for i in range(1, l):
-        new_width = part(la, i + 1) + l - i
-        projected: dict = {}
-        for bits, coeff in vec.items():
-            if all(bits[c] == target[c] for c in range(new_width, cur_width)):
-                key = bits[:new_width]
-                projected[key] = projected.get(key, _ZERO) + coeff
-        cur_width = new_width
-        vec = apply_op(projected, T(i), cur_width)
-    total = _ZERO
-    for bits, coeff in vec.items():
-        if all(bits[c] == target[c] for c in range(cur_width)):
-            total = total + coeff
-    return total
+        w = part(la, i + 1) + l - i
+        vec = apply_op(_project(vec, w, target), T(i), w)
+    return _project(vec, 0, target).get((), _ZERO)
 
 
 # ---------------------------------------------------------------------------

@@ -221,9 +221,9 @@ def test_criterion_6_probability():
         tasep_check,
         tasep_evolution,
         first_passage_times,
-        phi_row_counts,
         last_passage,
     )
+    from grothlab.bijections import phi
     from grothlab.tableaux import enumerate_rpp
 
     ok = True
@@ -255,7 +255,7 @@ def test_criterion_6_probability():
     rows = ((1, 1, 4), (1, 3, 4), (3, 3))
     history = tasep_evolution(rows, (3, 3, 2), 3, 4, horizon=12)
     ok &= first_passage_times(history, 4, 3) == [6, 8, 9]
-    ok &= last_passage(phi_row_counts(rows, (3, 3, 2), 3)) == (3, 3, 2)
+    ok &= last_passage(phi(rows, (3, 3, 2), 3)) == (3, 3, 2)
     for la in subpartitions((2, 2)):
         if not la:
             continue

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -103,6 +104,26 @@ class TestVerify:
         names = [case["name"] for case in payload["cases"]]
         assert len(want) == 47 + 21
         assert len(names) == len(want) and set(names) == want
+
+
+class TestPinnedCliBytes:
+    """sha256 of stdout, taken before the partition intervals were merged
+    into shapes.subpartitions: the Schur-basis rendering of G (whose terms
+    are the interval between la and (la_1)^n) and the whole verify all run."""
+
+    @pytest.mark.parametrize("argv, digest", [
+        (("expand", "G", "--shape", "2,1", "--n", "3", "--route", "schur", "--format", "json"),
+         "731a5a761c0f0baeb502a677db2ef703260cf74295ef0a43bfd217ac1b57211d"),
+        # a shape taller than n has no terms
+        (("expand", "G", "--shape", "3,1,1", "--n", "2", "--route", "schur", "--format", "json"),
+         "4c2f7a81e3e68043aa1278cb5a919a843edefae453c9f579f46a4690ecdaa59e"),
+        (("verify", "all", "--format", "json"),
+         "c5ae87421993ddd199ba06761c328cb812d7766081328845c92d3f0a72375069"),
+    ], ids=["G_21_n3", "G_311_n2_empty", "verify_all"])
+    def test_stdout_digest(self, capsys, argv, digest):
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestVerifyFailure:
@@ -224,9 +245,3 @@ def test_zero_arguments_are_kept(capsys, argv, label):
     code, out = run(capsys, *argv)
     assert code == 0 and out.splitlines() == [f"[PASS] {label}", "1/1 passed"]
 
-
-class TestThreads:
-    def test_worker_pool_cap(self, capsys):
-        code = main(["verify", "routes", "--box", "2x2", "--n", "2"])
-        out = capsys.readouterr().out
-        assert code == 0 and out.count("[PASS]") == 5

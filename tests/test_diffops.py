@@ -19,6 +19,7 @@ from grothlab.diffops import (
     lpp_cdf_schur_measure_sum,
     one_variable_det,
     one_variable_factorized,
+    Seq,
     schur_reduction_h_rows,
     schur_reduction_skew_t,
     skew_jt_e,
@@ -86,6 +87,21 @@ class TestDeltaOperators:
         assert f.eval(0) == Polynomial.one()
         assert f.eval(1) == x1
         assert f.eval(2).is_zero() and f.eval(-1).is_zero()
+
+    def test_seq_is_zero_below_lower_and_computes_each_value_once(self):
+        calls = []
+
+        def fn(v):
+            calls.append(v)
+            return x1 ** v
+
+        f = Seq(fn, lower=-2)
+        assert f.lower_bound() == -2
+        assert all(f.eval(v).is_zero() for v in (-5, -4, -3))
+        for _ in range(3):
+            assert [f.eval(v) for v in range(-2, 3)] == [x1 ** v for v in range(-2, 3)]
+        assert calls == [-2, -1, 0, 1, 2]
+        assert Seq(fn).lower_bound() == 0 and Seq(fn).eval(-1).is_zero()
 
     def test_convolution_of_h_sequences(self):
         from grothlab.polynomial import hk

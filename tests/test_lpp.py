@@ -16,7 +16,6 @@ from grothlab.lpp import (
     lpp_cdf_value_det,
     lpp_cdf_value_schur,
     monte_carlo,
-    phi_row_counts,
     prob_of_matrix,
     sample_geometric,
     sample_matrix,
@@ -32,6 +31,7 @@ from grothlab.lpp import (
     _numeric_det,
     g_numeric,
 )
+from grothlab.bijections import phi
 from grothlab.polynomial import T, X
 from grothlab.shapes import enumerate_partitions_in_box, subpartitions
 from grothlab.symfunc import dual_grothendieck
@@ -463,7 +463,7 @@ class TestInlineSampler:
 class TestTasep:
     def test_appendix_timeline(self):
         rows = ((1, 1, 4), (1, 3, 4), (3, 3))
-        counts = phi_row_counts(rows, (3, 3, 2), 3)
+        counts = phi(rows, (3, 3, 2), 3)
         g = last_passage(counts)
         assert g == (3, 3, 2)
         history = tasep_evolution(rows, (3, 3, 2), 3, 4, horizon=10)

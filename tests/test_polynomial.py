@@ -352,10 +352,18 @@ class TestSerialization:
         assert int_text(n) == want
         assert text_int(want) == n
 
-    @pytest.mark.parametrize("text", ["1" * 700 + "-2", "--" + "1" * 700, "1" * 700 + "x"])
+    @pytest.mark.parametrize("text", ["1" * 700 + "-2", "--" + "1" * 700, "1" * 700 + "x",
+                                      "1_0", " 12", "12 ", "", "-", "+", "1" * 350 + "_" + "1" * 350])
     def test_text_int_rejects_malformed(self, text):
         with pytest.raises(ValueError):
             text_int(text)
+
+    @pytest.mark.parametrize("coeff", ["1_0/3", " 12/1", "1/1_0", "1" * 350 + "_" + "1" * 350])
+    def test_from_json_obj_reads_plain_digits_only(self, coeff):
+        # one rule at every length: an optional sign, then ASCII digits
+        with pytest.raises(ValueError):
+            Polynomial.from_json_obj([{"coeff": coeff, "exps": {"x1": 1}}])
+        assert Polynomial.from_json_obj([{"coeff": "-12/+3", "exps": {}}]) == Polynomial.const(-4)
 
     def test_variable_names(self):
         assert str(GAMMA) == "gamma"

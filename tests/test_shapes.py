@@ -90,3 +90,19 @@ class TestBasics:
         subs = subpartitions((2, 1))
         assert set(subs) == {(), (1,), (2,), (1, 1), (2, 1)}
 
+    def test_subpartitions_is_the_graded_lex_interval(self):
+        # every pair of shapes in the 4x4 box, including the pairs with
+        # inner not contained in la, which give []; the box list is in
+        # graded-lex order
+        box = enumerate_partitions_in_box(4, 4)
+        below = {la: [mu for mu in box if contains(la, mu)] for la in box}
+        for la in box:
+            for inner in box:
+                want = [mu for mu in below[la] if contains(mu, inner)]
+                assert subpartitions(la, inner) == want, (la, inner)
+
+    def test_subpartitions_inner_with_trailing_zeros(self):
+        assert subpartitions((3, 1), (1, 0, 0)) == subpartitions((3, 1), (1,))
+        assert subpartitions((0, 0), (0,)) == [()]
+        assert subpartitions((2,) * 2, (2, 1, 1)) == []
+

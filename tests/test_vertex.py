@@ -231,8 +231,8 @@ class TestRowOperators:
         assert apply_to_basis(op, (0, 0, 0, 0)) == {(0, 0, 0, 0): z ** 4}
 
     def test_operator_route_matches_transfer(self):
-        for la in [(2, 1), (2, 2, 1)]:
-            assert operator_route_dualg(la, 2) == dual_grothendieck(la, 2)
+        for la, n in [((2, 1), 2), ((2, 2, 1), 2), ((3, 2, 1), 3), ((3, 3, 2), 3)]:
+            assert operator_route_dualg(la, n) == dual_grothendieck(la, n)
 
     def test_compose(self):
         a = row_operator("A", Z(1), 2)
