@@ -58,38 +58,29 @@ def cmd_expand(args):
     n = args.n
     if n < 0:
         _fail_usage(f"--n must be nonnegative, got {n}")
+    if args.kind == "G" and args.route == "schur":
+        # render as a Schur expansion with t-polynomial coefficients
+        lines = []
+        for mu in subpartitions((part(shape, 1),) * n, shape):
+            c = symfunc.E_coeff(shape, mu, negate=True)
+            if not c.is_zero():
+                lines.append({"mu": list(mu), "coeff": c.to_json_obj()})
+        _emit({"kind": "G_schur_expansion", "shape": list(shape), "n": n,
+               "terms": lines}, args.format)
+        return 0
+    # without --route each function's default route applies
+    route = {"route": args.route} if args.route else {}
     if args.kind == "g":
-        route = args.route or "jt_h"
-        if route not in symfunc.G_ROUTES:
-            _fail_usage(f"unknown g route {route!r}")
-        poly = symfunc.dual_grothendieck(shape, n, route=route)
-        label = f"g_{{{args.shape}}}"
+        poly = symfunc.dual_grothendieck(shape, n, **route)
     elif args.kind == "G":
-        route = args.route or "schur_expansion"
-        if route == "schur":
-            # render as a Schur expansion with t-polynomial coefficients
-            lines = []
-            for mu in subpartitions((part(shape, 1),) * n, shape):
-                c = symfunc.E_coeff(shape, mu, negate=True)
-                if not c.is_zero():
-                    lines.append({"mu": list(mu), "coeff": c.to_json_obj()})
-            _emit({"kind": "G_schur_expansion", "shape": list(shape), "n": n,
-                   "terms": lines}, args.format)
-            return 0
-        if route not in symfunc.GROTH_ROUTES:
-            _fail_usage(f"unknown G route {route!r}")
-        poly = symfunc.grothendieck(shape, n, route=route)
-        label = f"G_{{{args.shape}}}"
-    elif args.kind == "s":
-        poly = symfunc.schur(shape, [X(i) for i in range(1, n + 1)])
-        label = f"s_{{{args.shape}}}"
+        poly = symfunc.grothendieck(shape, n, **route)
     else:
-        _fail_usage(f"unknown polynomial kind {args.kind!r}")
+        poly = symfunc.schur(shape, [X(i) for i in range(1, n + 1)], **route)
     if args.format == "json":
         _emit({"kind": args.kind, "shape": list(shape), "n": n,
                "route": args.route, "polynomial": poly.to_json_obj()}, "json")
     else:
-        print(f"{label} = {poly}")
+        print(f"{args.kind}_{{{args.shape}}} = {poly}")
     return 0
 
 
@@ -166,37 +157,40 @@ def _label(identity, params):
 
 
 def _run_case(identity, params):
+    """Whether the case holds, and a note on what failed ('' if none)."""
     if identity == "ybe":
         lfac, rfac = vertex.BUNDLED_FAMILIES[params["model"]]
-        return vertex.check_ybe(lfac(), rfac()).ok
+        return vertex.check_ybe(lfac(), rfac()).ok, ""
     if identity == "routes":
-        return _routes_agree(**params)
-    return symfunc.verify_identity(identity, **params).holds
+        bad = _routes_disagreeing(**params)
+        return not bad, "; ".join(bad)
+    return symfunc.verify_identity(identity, **params).holds, ""
 
 
-def _routes_agree(la, n):
-    base = symfunc.dual_grothendieck(la, n, route="rpp")
-    if any(symfunc.dual_grothendieck(la, n, route=r) != base
-           for r in symfunc.G_ROUTES[1:]):
-        return False
-    gbase = symfunc.grothendieck(la, n, route="svt")
-    return all(symfunc.grothendieck(la, n, route=r) == gbase
-               for r in symfunc.GROTH_ROUTES[1:])
+def _routes_disagreeing(la, n):
+    """Each route of g and G whose value differs from its object's first
+    route, the tableau enumeration."""
+    bad = []
+    for obj, fn in (("g", symfunc.dual_grothendieck), ("G", symfunc.grothendieck)):
+        first, *rest = symfunc.ROUTES[obj]
+        base = fn(la, n, route=first)
+        bad += [f"{obj} route {r} != {first}" for r in rest if fn(la, n, route=r) != base]
+    return bad
 
 
 def cmd_verify(args):
     specs = _specs(args)
     if not specs:
         _fail_usage(f"no cases to run for {args.identity!r} with these arguments")
-    results = [(_label(*spec), bool(_run_case(*spec))) for spec in specs]
-    failures = [name for name, ok in results if not ok]
+    results = [(_label(*spec), *_run_case(*spec)) for spec in specs]
+    failures = [name for name, ok, _ in results if not ok]
     if args.format == "json":
         _emit({"command": "verify", "identity": args.identity,
-               "cases": [{"name": n, "pass": ok} for n, ok in results],
+               "cases": [{"name": n, "pass": bool(ok)} for n, ok, _ in results],
                "failures": len(failures)}, "json")
     else:
-        for name, ok in results:
-            print(f"[{'PASS' if ok else 'FAIL'}] {name}")
+        for name, ok, note in results:
+            print(f"[{'PASS' if ok else 'FAIL'}] {name}" + (f": {note}" if note else ""))
         print(f"{len(results) - len(failures)}/{len(results)} passed")
     return 1 if failures else 0
 

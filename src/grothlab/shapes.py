@@ -8,7 +8,6 @@ the top.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 
 def partition(parts) -> tuple:
@@ -121,24 +120,7 @@ def enumerate_partitions_in_box(n: int, k: int):
     in graded lexicographic order (by size, then lex descending parts)."""
     if n < 0 or k < 0:
         raise ValueError(f"box sides must be nonnegative, got {n} x {k}")
-    out = []
-
-    def rec(prefix, remaining_rows, maxpart):
-        out.append(tuple(prefix))
-        if remaining_rows == 0:
-            return
-        for a in range(1, maxpart + 1):
-            prefix.append(a)
-            rec(prefix, remaining_rows - 1, a)
-            prefix.pop()
-
-    rec([], n, k)
-    out = [partition(p) for p in out]
-    out.sort(key=lambda p: (sum(p), tuple(-a for a in p)))
-    expected = comb(n + k, n)
-    if len(out) != expected:
-        raise AssertionError(f"enumeration bug: {len(out)} != {expected}")
-    return out
+    return subpartitions((k,) * n)
 
 
 def subpartitions(la: tuple, inner: tuple = ()):

@@ -220,52 +220,45 @@ def p_coeff(nu, la, t_atoms) -> Polynomial:
 # refined dual Grothendieck polynomials g
 # ---------------------------------------------------------------------------
 
-G_ROUTES = ("rpp", "schur_decomp", "jt_h", "jt_e", "multischur")
+
+def _prepare(obj, route, n, t_atoms, count):
+    """ROUTES[obj][route], x_1..x_n, and the t atoms (t_1..t_count by
+    default) as polynomials; an unknown route raises ValueError."""
+    if route not in ROUTES[obj]:
+        raise ValueError(f"unknown {obj.replace('_', ' ')} route {route!r}")
+    if t_atoms is None:
+        t_atoms = [T(i) for i in range(1, count + 1)]
+    return ROUTES[obj][route], [as_poly(X(i)) for i in range(1, n + 1)], _atoms(t_atoms)
 
 
 def dual_grothendieck(la, n, t_atoms=None, route="jt_h") -> Polynomial:
-    """g_la(x_1..x_n; t), polynomial in x and the t atoms.
+    """g_la(x_1..x_n; t), polynomial in x and the t atoms, by ROUTES["g"].
 
     t_atoms defaults to (t_1, ..., t_{l-1}); longer lists are fine (the
     extras are unused).
     """
     la = partition(la)
     l = len(la)
-    if t_atoms is None:
-        t_atoms = [T(i) for i in range(1, max(l, 1))]
-    ts = _atoms(t_atoms)
+    fn, xs, ts = _prepare("g", route, n, t_atoms, l - 1)
     if len(ts) < l - 1:
         raise ValueError(f"need at least {l - 1} t atoms for shape {la}")
-    xs = [as_poly(X(i)) for i in range(1, n + 1)]
     if l == 0:
         return Polynomial.one()
+    return fn(la, xs, ts)
 
-    if route == "rpp":
-        return _tableau_sum((tb.rpp_exponents(rows, la, (), n)
-                             for rows in tb.enumerate_rpp(la, (), n)), xs + ts[: l - 1])
-    if route == "schur_decomp":
-        total = Polynomial.zero()
-        for mu in subpartitions(la):
-            c = e_coeff(la, mu, ts)
-            if c.is_zero():
-                continue
-            total = total + c * schur(mu, xs)
-        return total
-    if route == "jt_h":
-        return g_jt_h(la, xs, ts)
-    if route == "jt_e":
-        lac = conjugate(la)
-        size = len(lac)
-        grid = []
-        for i in range(1, size + 1):
-            E = e_table(part(lac, i) + size - i, xs + ts[: part(lac, i) - 1])
-            grid.append([E[d] if (d := part(lac, i) + j - i) >= 0 else 0
-                         for j in range(1, size + 1)])
-        return determinant(grid)
-    if route == "multischur":
-        diffs = [(xs + ts[: k - 1], []) for k in range(1, l + 1)]
-        return multi_schur(list(la), diffs)
-    raise ValueError(f"unknown g route {route!r}")
+
+def _g_rpp(la, xs, ts):
+    return _skew_rpp((la, ()), xs, ts)
+
+
+def _g_schur_decomp(la, xs, ts):
+    total = Polynomial.zero()
+    for mu in subpartitions(la):
+        c = e_coeff(la, mu, ts)
+        if c.is_zero():
+            continue
+        total = total + c * schur(mu, xs)
+    return total
 
 
 def g_jt_h(la, x_atoms, t_atoms) -> Polynomial:
@@ -287,100 +280,120 @@ def g_jt_h(la, x_atoms, t_atoms) -> Polynomial:
     return determinant(_h_grid(la, tables))
 
 
+def _g_jt_e(la, xs, ts):
+    lac = conjugate(la)
+    size = len(lac)
+    grid = []
+    for i in range(1, size + 1):
+        E = e_table(part(lac, i) + size - i, xs + ts[: part(lac, i) - 1])
+        grid.append([E[d] if (d := part(lac, i) + j - i) >= 0 else 0
+                     for j in range(1, size + 1)])
+    return determinant(grid)
+
+
+def _g_multischur(la, xs, ts):
+    return multi_schur(list(la), [(xs + ts[: k - 1], []) for k in range(1, len(la) + 1)])
+
+
 def skew_dual_grothendieck(outer, inner, n, t_atoms=None, route="rpp") -> Polynomial:
-    """g_{outer/inner}(x_1..x_n; t)."""
+    """g_{outer/inner}(x_1..x_n; t), by ROUTES["skew_g"]."""
     outer, inner = partition(outer), partition(inner)
+    fn, xs, ts = _prepare("skew_g", route, n, t_atoms, len(outer) - 1)
     if not contains(outer, inner):
         raise ValueError(f"{inner} not contained in {outer}")
-    l = len(outer)
-    if t_atoms is None:
-        t_atoms = [T(i) for i in range(1, max(l, 1))]
-    ts = _atoms(t_atoms)
-    xs = [as_poly(X(i)) for i in range(1, n + 1)]
-    if route == "rpp":
-        return _tableau_sum((tb.rpp_exponents(rows, outer, inner, n)
-                             for rows in tb.enumerate_rpp(outer, inner, n)),
-                            xs + ts[: max(l - 1, 0)])
-    if route == "one_var_chain":
-        # chain the factorized single-variable skew over x_1..x_n; each step
-        # visits every nu between mid and outer, not only horizontal strips,
-        # since single-variable skew RPPs allow columns
-        states = {inner: Polynomial.one()}
-        for i in range(n):
-            nxt: dict = {}
-            for mid, w in states.items():
-                for nu in subpartitions(outer, mid):
-                    f = one_variable_factorized(nu, mid, len(nu), xs[i], ts)
-                    if f.is_zero():
-                        continue
-                    nxt[nu] = nxt.get(nu, Polynomial.zero()) + w * f
-            states = nxt
-        return states.get(outer, Polynomial.zero())
-    raise ValueError(f"unknown skew g route {route!r}")
+    return fn((outer, inner), xs, ts)
+
+
+def _skew_rpp(shape, xs, ts):
+    outer, inner = shape
+    n = len(xs)
+    return _tableau_sum((tb.rpp_exponents(rows, outer, inner, n)
+                         for rows in tb.enumerate_rpp(outer, inner, n)),
+                        xs + ts[: max(len(outer) - 1, 0)])
+
+
+def _skew_one_var_chain(shape, xs, ts):
+    # chain the factorized single-variable skew over x_1..x_n; each step
+    # visits every nu between mid and outer, not only horizontal strips,
+    # since single-variable skew RPPs allow columns
+    outer, inner = shape
+    states = {inner: Polynomial.one()}
+    for x in xs:
+        nxt: dict = {}
+        for mid, w in states.items():
+            for nu in subpartitions(outer, mid):
+                f = one_variable_factorized(nu, mid, len(nu), x, ts)
+                if f.is_zero():
+                    continue
+                nxt[nu] = nxt.get(nu, Polynomial.zero()) + w * f
+        states = nxt
+    return states.get(outer, Polynomial.zero())
 
 
 # ---------------------------------------------------------------------------
 # refined Grothendieck polynomials G
 # ---------------------------------------------------------------------------
 
-GROTH_ROUTES = ("svt", "schur_expansion", "jacobi_trudi", "divided_diff")
-
 
 def grothendieck(la, n, t_atoms=None, route="schur_expansion") -> Polynomial:
-    """G_la(x_1..x_n; t); t_atoms defaults to (t_1, ..., t_{n-1})."""
+    """G_la(x_1..x_n; t) by ROUTES["G"]; t_atoms defaults to (t_1, ..., t_{n-1})."""
     la = partition(la)
-    if t_atoms is None:
-        t_atoms = [T(i) for i in range(1, n)]
-    ts = _atoms(t_atoms)
-    xs = [as_poly(X(i)) for i in range(1, n + 1)]
+    fn, xs, ts = _prepare("G", route, n, t_atoms, n - 1)
     if len(la) > n:
         return Polynomial.zero()
-    if route == "svt":
-        ts_rows = ts[: len(la)]
-        counts: dict = {}
-        for rows in tb.enumerate_svt(la, n):
-            vec, sign = tb.svt_exponents(rows, n, len(ts_rows))
-            counts[vec] = counts.get(vec, 0) + sign
-        return Polynomial.from_exponent_counts(counts, xs + ts_rows)
-    if route == "schur_expansion":
-        total = Polynomial.zero()
-        # mu >= la with mu_1 = la_1 and at most n rows (the E support)
-        for mu in subpartitions((part(la, 1),) * n, la):
-            c = E_coeff(la, mu, ts, negate=True)
-            if c.is_zero():
-                continue
-            total = total + c * schur(mu, xs)
-        return total
-    if route == "jacobi_trudi":
-        H = h_table(part(la, 1) + n - 1, xs)
-        grid = []
-        for i in range(1, n + 1):
-            E = e_table(i - 1, [-a for a in ts[: i - 1]])
-            grid.append([Polynomial.sum(E[k] * H[d] for k in range(i)
-                                        if (d := k + part(la, i) - i + j) >= 0)
-                         for j in range(1, n + 1)])
-        return determinant(grid)
-    if route == "divided_diff":
-        if len(ts) < n - 1:
-            raise ValueError("divided_diff route needs t_1..t_{n-1}")
-        rho = staircase(n)
-        p = Polynomial.monomial(
-            [(X(i), part(la, i) + rho[i - 1]) for i in range(1, n + 1)]
-        )
-        for i in range(1, n):
-            for j in range(i + 1, n + 1):
-                p = p * (Polynomial.one() - ts[i - 1] * as_poly(X(j)))
-        return divided_difference_word(p, longest_word(n))
-    raise ValueError(f"unknown G route {route!r}")
+    return fn(la, xs, ts)
+
+
+def _G_svt(la, xs, ts):
+    n = len(xs)
+    ts_rows = ts[: len(la)]
+    counts: dict = {}
+    for rows in tb.enumerate_svt(la, n):
+        vec, sign = tb.svt_exponents(rows, n, len(ts_rows))
+        counts[vec] = counts.get(vec, 0) + sign
+    return Polynomial.from_exponent_counts(counts, xs + ts_rows)
+
+
+def _G_schur_expansion(la, xs, ts):
+    total = Polynomial.zero()
+    # mu >= la with mu_1 = la_1 and at most n rows (the E support)
+    for mu in subpartitions((part(la, 1),) * len(xs), la):
+        c = E_coeff(la, mu, ts, negate=True)
+        if c.is_zero():
+            continue
+        total = total + c * schur(mu, xs)
+    return total
+
+
+def _G_jacobi_trudi(la, xs, ts):
+    n = len(xs)
+    H = h_table(part(la, 1) + n - 1, xs)
+    grid = []
+    for i in range(1, n + 1):
+        E = e_table(i - 1, [-a for a in ts[: i - 1]])
+        grid.append([Polynomial.sum(E[k] * H[d] for k in range(i)
+                                    if (d := k + part(la, i) - i + j) >= 0)
+                     for j in range(1, n + 1)])
+    return determinant(grid)
+
+
+def _G_divided_diff(la, xs, ts):
+    n = len(xs)
+    if len(ts) < n - 1:
+        raise ValueError("divided_diff route needs t_1..t_{n-1}")
+    rho = staircase(n)
+    p = Polynomial.monomial([(X(i), part(la, i) + rho[i - 1]) for i in range(1, n + 1)])
+    for i in range(1, n):
+        for j in range(i + 1, n + 1):
+            p = p * (Polynomial.one() - ts[i - 1] * xs[j - 1])
+    return divided_difference_word(p, longest_word(n))
 
 
 def grothendieck_multischur(la, n, t_atoms=None) -> Polynomial:
     """The multi-Schur form: (-1)^{n(n-1)/2} t^{rho_n} s_I with
     I = (la_1, la_2+1, ..., la_n+n-1) and k-th alphabet x - (t_1^-1...t_{k-1}^-1)."""
     la = partition(la)
-    if t_atoms is None:
-        t_atoms = [T(i) for i in range(1, n)]
-    ts = _atoms(t_atoms)
+    ts = _atoms([T(i) for i in range(1, n)] if t_atoms is None else t_atoms)
     xs = [as_poly(X(i)) for i in range(1, n + 1)]
     index_seq = [part(la, k) + k - 1 for k in range(1, n + 1)]
     diffs = [(xs, [t ** -1 for t in ts[: k - 1]]) for k in range(1, n + 1)]
@@ -389,6 +402,35 @@ def grothendieck_multischur(la, n, t_atoms=None) -> Polynomial:
     for i in range(1, n):
         rho_mono = rho_mono * ts[i - 1] ** (n - i)
     return det * rho_mono * ((-1) ** (n * (n - 1) // 2))
+
+
+# Every route to g, skew g and G.  Each takes (shape, xs, ts): x_1..x_n and
+# the t atoms as polynomials, and (outer, inner) as the shape of skew g.  An
+# object's first route is its tableau enumeration, which `verify routes`
+# checks the others against; each comment says what the route computes
+# through.
+ROUTES = {
+    "g": {
+        "rpp": _g_rpp,  # enumeration of reverse plane partitions
+        "schur_decomp": _g_schur_decomp,  # elegant-tableau coefficients x Schur
+        "jt_h": g_jt_h,  # h-determinant
+        "jt_e": _g_jt_e,  # e-determinant of the conjugate shape
+        # the transposed jt_h grid, so it checks only det(A) = det(A^T)
+        "multischur": _g_multischur,
+    },
+    "skew_g": {
+        "rpp": _skew_rpp,  # enumeration of skew reverse plane partitions
+        # one-variable factorized weights, chained over x_1..x_n
+        "one_var_chain": _skew_one_var_chain,
+    },
+    "G": {
+        "svt": _G_svt,  # enumeration of set-valued tableaux
+        "schur_expansion": _G_schur_expansion,  # increasing elegant coefficients x Schur
+        "jacobi_trudi": _G_jacobi_trudi,  # h-determinant with e(-t) row factors
+        # divided differences of x^(la + rho) prod(1 - t_i x_j)
+        "divided_diff": _G_divided_diff,
+    },
+}
 
 
 # ---------------------------------------------------------------------------
@@ -430,20 +472,24 @@ def verify_cauchy(m, l, n) -> IdentityReport:
     return _report("cauchy", dict(m=m, l=l, n=n), lhs, rhs)
 
 
+def _littlewood_sum(m, width, l, n) -> Polynomial:
+    """sum over la in the l x width box of prod t_i^{m - la_i} g_la(x; t_1..t_{l-1})."""
+    ts = [as_poly(T(i)) for i in range(1, l + 1)]
+    total = Polynomial.zero()
+    for la in enumerate_partitions_in_box(l, width):
+        w = Polynomial.one()
+        for i in range(1, l + 1):
+            w = w * ts[i - 1] ** (m - part(la, i))
+        total = total + w * dual_grothendieck(la, n, ts[:-1])
+    return total
+
+
 def verify_littlewood(m, l, n) -> IdentityReport:
     """s_{m^l}(x, t, t_l) = sum prod t_i^{m - la_i} g_la(x; t)."""
     if m < l:
         raise ValueError("needs m >= l")
-    ts = [T(i) for i in range(1, l + 1)]
-    xs = [X(i) for i in range(1, n + 1)]
-    lhs = schur([m] * l, xs + ts)
-    rhs = Polynomial.zero()
-    for la in enumerate_partitions_in_box(l, m):
-        w = Polynomial.one()
-        for i in range(1, l + 1):
-            w = w * Polynomial.var(T(i)) ** (m - part(la, i))
-        rhs = rhs + w * dual_grothendieck(la, n, ts[:-1])
-    return _report("littlewood", dict(m=m, l=l, n=n), lhs, rhs)
+    lhs = schur([m] * l, [X(i) for i in range(1, n + 1)] + [T(i) for i in range(1, l + 1)])
+    return _report("littlewood", dict(m=m, l=l, n=n), lhs, _littlewood_sum(m, m, l, n))
 
 
 def verify_coincidence(m, l, n) -> IdentityReport:
@@ -526,10 +572,10 @@ def verify_duality(la, mu, box) -> IdentityReport:
     """sum over la <= nu <= mu of E_la^nu(-t) e_mu^nu(t) = delta_{la,mu}."""
     la, mu = partition(la), partition(mu)
     n, k = box
+    if len(mu) > n or part(mu, 1) > k:
+        raise ValueError(f"duality needs mu={mu} inside the {n} x {k} box")
     total = Polynomial.zero()
-    for nu in enumerate_partitions_in_box(n, k):
-        if not (contains(nu, la) and contains(mu, nu)):
-            continue
+    for nu in subpartitions(mu, la):
         a = E_coeff(la, nu, negate=True)
         if a.is_zero():
             continue
@@ -667,28 +713,13 @@ def verify_cauchy_littlewood_box(m, l, n) -> IdentityReport:
         raise ValueError("the cross-multiplied check is implemented for l == n")
     xs = [as_poly(X(i)) for i in range(1, n + 1)]
     ts = [as_poly(T(i)) for i in range(1, l + 1)]
-    lhs_sum = Polynomial.zero()
-    for la in enumerate_partitions_in_box(l, m):
-        w = Polynomial.one()
-        for i in range(1, l + 1):
-            w = w * ts[i - 1] ** (m - part(la, i))
-        lhs_sum = lhs_sum + w * dual_grothendieck(la, n, ts[:-1])
     van = Polynomial.one()
     for i in range(n):
         for j in range(i + 1, n):
             van = van * (xs[i] - xs[j]) * (ts[i] ** -1 - ts[j] ** -1)
-    lhs = lhs_sum * van
-    grid = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            ratio = xs[i - 1] * ts[j - 1] ** -1
-            entry = Polynomial.zero()
-            for kk in range(0, m + n):
-                entry = entry + ratio ** kk
-            row.append(entry)
-        grid.append(row)
-    rhs = determinant(grid)
+    lhs = _littlewood_sum(m, m, l, n) * van
+    rhs = determinant([[Polynomial.sum((x * t ** -1) ** kk for kk in range(m + n))
+                        for t in ts] for x in xs])
     for i in range(l):
         rhs = rhs * ts[i] ** m
     return _report("cauchy_littlewood_box", dict(m=m, l=l, n=n), lhs, rhs)
@@ -700,19 +731,11 @@ def verify_bounded_cauchy_littlewood(l, n, degree_cap=8) -> IdentityReport:
     total x-degree <= degree_cap."""
     xs = [as_poly(X(i)) for i in range(1, n + 1)]
     ts = [as_poly(T(i)) for i in range(1, l + 1)]
-    lhs = Polynomial.zero()
-    for la in enumerate_partitions_in_box(l, degree_cap):
-        w = Polynomial.one()
-        for i in range(1, l + 1):
-            w = w * ts[i - 1] ** (-part(la, i))
-        lhs = lhs + w * dual_grothendieck(la, n, ts[:-1])
+    lhs = _littlewood_sum(0, degree_cap, l, n)
     rhs = Polynomial.one()
     for i in range(n):
         for j in range(l):
-            factor = Polynomial.zero()
-            for kk in range(0, degree_cap + 1):
-                factor = factor + (ts[j] ** -1 * xs[i]) ** kk
-            rhs = rhs * factor
+            rhs = rhs * Polynomial.sum((ts[j] ** -1 * xs[i]) ** kk for kk in range(degree_cap + 1))
     lhs = _truncate_x_degree(lhs, degree_cap)
     rhs = _truncate_x_degree(rhs, degree_cap)
     return _report("bounded_cauchy_littlewood",

@@ -19,8 +19,7 @@ from grothlab.shapes import (
     to_01,
 )
 from grothlab.symfunc import (
-    G_ROUTES,
-    GROTH_ROUTES,
+    ROUTES,
     dual_grothendieck,
     grothendieck,
     schur,
@@ -102,10 +101,10 @@ def test_criterion_2_route_agreement():
     for la in enumerate_partitions_in_box(3, 3):
         if la:
             base = dual_grothendieck(la, 3, route="rpp")
-            for route in G_ROUTES[1:]:
+            for route in list(ROUTES["g"])[1:]:
                 ok &= dual_grothendieck(la, 3, route=route) == base
             gbase = grothendieck(la, 3, route="svt")
-            for route in GROTH_ROUTES[1:]:
+            for route in list(ROUTES["G"])[1:]:
                 ok &= grothendieck(la, 3, route=route) == gbase
             ok &= partition_function(build_dualg_model(la, 3)) == base
             ok &= partition_function(build_g_model(la, 3)) == gbase

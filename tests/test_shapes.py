@@ -1,3 +1,6 @@
+from itertools import product
+from math import comb
+
 import pytest
 
 from grothlab.shapes import (
@@ -81,6 +84,16 @@ class TestBasics:
         out = enumerate_partitions_in_box(2, 2)
         assert out[0] == ()
         assert [sum(p) for p in out] == sorted(sum(p) for p in out)
+
+    @pytest.mark.parametrize("n, k", [(0, 3), (3, 0), (2, 3), (4, 4), (3, 5)])
+    def test_box_is_every_partition_in_graded_lex_order(self, n, k):
+        # an independent enumeration: every weakly decreasing n-tuple of
+        # 0..k, sorted by size, then by descending parts
+        want = sorted({partition(p) for p in product(range(k + 1), repeat=n)
+                       if list(p) == sorted(p, reverse=True)},
+                      key=lambda p: (sum(p), [-a for a in p]))
+        got = enumerate_partitions_in_box(n, k)
+        assert got == want and len(got) == comb(n + k, n)
 
     def test_boxed_validation(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import hashlib
+import inspect
 from fractions import Fraction
 
 import pytest
@@ -6,8 +8,7 @@ from grothlab.polynomial import BETA, GAMMA, Polynomial, T, X, Y, as_poly
 from grothlab.shapes import enumerate_partitions_in_box, subpartitions
 from grothlab.symfunc import (
     E_coeff,
-    G_ROUTES,
-    GROTH_ROUTES,
+    ROUTES,
     dual_grothendieck,
     e_coeff,
     flagged_schur,
@@ -118,7 +119,7 @@ class TestCoefficients:
 class TestDualGrothendieck:
     def test_paper_g221_all_routes(self):
         want = paper_g221()
-        for route in G_ROUTES:
+        for route in ROUTES["g"]:
             assert dual_grothendieck((2, 2, 1), 3, route=route) == want
 
     def test_paper_g221_two_vars(self):
@@ -143,13 +144,13 @@ class TestDualGrothendieck:
             if not la:
                 continue
             base = dual_grothendieck(la, 2, route="rpp")
-            for route in G_ROUTES[1:]:
+            for route in list(ROUTES["g"])[1:]:
                 assert dual_grothendieck(la, 2, route=route) == base
 
     def test_beta_specialization_routes_agree(self):
         b = as_poly(BETA)
         for la in [(2, 1), (2, 2, 1)]:
-            vals = [dual_grothendieck(la, 2, [b, b], route=r) for r in G_ROUTES]
+            vals = [dual_grothendieck(la, 2, [b, b], route=r) for r in ROUTES["g"]]
             assert all(v == vals[0] for v in vals)
 
     def test_symmetric_in_x(self):
@@ -221,7 +222,7 @@ class TestSkewDualGrothendieck:
 class TestGrothendieck:
     def test_paper_G21_all_routes(self):
         want = paper_G21()
-        for route in GROTH_ROUTES:
+        for route in ROUTES["G"]:
             assert grothendieck((2, 1), 3, route=route) == want
         assert grothendieck_multischur((2, 1), 3) == want
 
@@ -262,9 +263,34 @@ class TestGrothendieck:
             if not la:
                 continue
             base = grothendieck(la, 3, route="svt")
-            for route in GROTH_ROUTES[1:]:
+            for route in list(ROUTES["G"])[1:]:
                 assert grothendieck(la, 3, route=route) == base, (la, route)
 
+
+
+class TestRouteTable:
+    def test_names_and_order(self):
+        # the first route of each object is its tableau enumeration
+        assert list(ROUTES["g"]) == ["rpp", "schur_decomp", "jt_h", "jt_e", "multischur"]
+        assert list(ROUTES["skew_g"]) == ["rpp", "one_var_chain"]
+        assert list(ROUTES["G"]) == ["svt", "schur_expansion", "jacobi_trudi", "divided_diff"]
+
+    @pytest.mark.parametrize("fn, obj", [(dual_grothendieck, "g"), (grothendieck, "G"),
+                                         (skew_dual_grothendieck, "skew_g")])
+    def test_default_route_is_listed(self, fn, obj):
+        assert inspect.signature(fn).parameters["route"].default in ROUTES[obj]
+
+    @pytest.mark.parametrize("call", [
+        lambda: dual_grothendieck((), 2, route="bogus"),
+        lambda: dual_grothendieck((2, 1), 2, route="bogus"),
+        lambda: grothendieck((), 2, route="bogus"),
+        lambda: grothendieck((2, 1, 1), 2, route="bogus"),  # len(la) > n
+        lambda: skew_dual_grothendieck((), (), 2, route="bogus"),
+        lambda: skew_dual_grothendieck((2, 1), (1,), 2, route="bogus"),
+    ], ids=["g_empty", "g_21", "G_empty", "G_taller_than_n", "skew_empty", "skew_21_1"])
+    def test_unknown_route_raises_before_any_early_return(self, call):
+        with pytest.raises(ValueError, match="unknown (g|G|skew g) route 'bogus'"):
+            call()
 
 class TestPaperG4422:
     def test_schur_decomposition_example(self):
@@ -321,6 +347,27 @@ class TestIdentities:
         for la in shapes:
             for mu in shapes:
                 assert verify_identity("duality", la=la, mu=mu, box=(3, 3)).holds
+
+    def test_duality_needs_mu_in_the_box(self):
+        with pytest.raises(ValueError, match="inside the 3 x 3 box"):
+            verify_identity("duality", la=(), mu=(4,), box=(3, 3))
+        with pytest.raises(ValueError, match="inside the 3 x 3 box"):
+            verify_identity("duality", la=(), mu=(1, 1, 1, 1), box=(3, 3))
+
+    @pytest.mark.parametrize("name, params, digest", [
+        ("littlewood", dict(m=4, l=3, n=2),
+         "5c78956f605a374f18f3518a554ee6cdcfaaa516a56bfc374e5663f75c464987"),
+        ("cauchy_littlewood_box", dict(m=3, l=2, n=2),
+         "67c5daea1dce72fbe3246e76e3c3a8cb6e2f6cd0a222c3dd62ad319a0b499191"),
+        ("bounded_cauchy_littlewood", dict(l=2, n=2, degree_cap=8),
+         "b69902400fae94a11fef65407fad7c841f3286f8d629341089541189903e9512"),
+    ], ids=["littlewood", "cauchy_littlewood_box", "bounded"])
+    def test_littlewood_box_sums_are_pinned(self, name, params, digest):
+        # sha256 of to_json() of both sides, taken before the three verifiers
+        # shared one box sum; each identity holds, so both sides agree
+        rep = verify_identity(name, **params)
+        for side in (rep.lhs, rep.rhs):
+            assert hashlib.sha256(side.to_json().encode()).hexdigest() == digest
 
     def test_fnr_dual_paper_case(self):
         assert verify_identity("fnr_dual", la=(2, 2, 1), n=3).holds
